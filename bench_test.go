@@ -13,6 +13,7 @@ package sentinel
 // restricted-percolation base machine, exactly as in the paper (§5.2).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -254,6 +255,64 @@ func BenchmarkSimulator(b *testing.B) {
 		instrs += res.Instrs
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
+}
+
+// BenchmarkSimulateMatrix measures sim.Run over the whole cell matrix the
+// server simulates — 17 kernels × 5 models × issue 2/4/8 × the perfect,
+// static and TAGE frontends — the way a full /v1/simulate runs it: on a
+// prepared (cached) schedule with its shared ProgIndex and a fresh memory
+// clone. One op simulates every cell of a sub-benchmark's class once;
+// boosting is split from the other models because its shadow register
+// files make its per-branch work different.
+//
+//	go test -run XXX -bench SimulateMatrix -count 5 .
+func BenchmarkSimulateMatrix(b *testing.B) {
+	type cell struct {
+		md machine.Desc
+		p  eval.Prepared
+	}
+	classes := map[string][]cell{}
+	var names []string
+	r := eval.NewRunner(1)
+	models := []machine.Model{machine.Restricted, machine.General, machine.Sentinel, machine.SentinelStores, machine.Boosting}
+	for _, pred := range []machine.Predictor{machine.PredPerfect, machine.PredStatic, machine.PredTAGE} {
+		for _, model := range models {
+			class := "other/" + pred.String()
+			if model == machine.Boosting {
+				class = "boost/" + pred.String()
+			}
+			if _, ok := classes[class]; !ok {
+				names = append(names, class)
+			}
+			for _, w := range workload.All() {
+				for _, width := range []int{2, 4, 8} {
+					md := machine.Base(width, model).WithPredictor(pred)
+					p, err := r.PreparedCtx(context.Background(), w, md, superblock.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					classes[class] = append(classes[class], cell{md, p})
+				}
+			}
+		}
+	}
+	for _, class := range names {
+		cells := classes[class]
+		b.Run(class, func(b *testing.B) {
+			var instrs int64
+			for i := 0; i < b.N; i++ {
+				for _, c := range cells {
+					res, err := sim.Run(c.p.Prog, c.md, c.p.Mem.Clone(), sim.Options{Index: c.p.Index})
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrs += res.Instrs
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
+			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+		})
+	}
 }
 
 // BenchmarkRecoveryCost quantifies the §3.7 restartable-sequence

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"sentinel/internal/asm"
@@ -297,7 +298,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	if req.FaultSegment == "" {
 		// Verification only makes sense against an unfaulted image.
-		if res.MemSum != p.Ref.MemSum || fmt.Sprint(res.Out) != fmt.Sprint(p.Ref.Out) {
+		if res.MemSum != p.Ref.MemSum || !slices.Equal(res.Out, p.Ref.Out) {
 			return apiErrorf(http.StatusInternalServerError, KindInternal,
 				"verification failed: simulated result diverges from the reference interpreter")
 		}

@@ -15,6 +15,7 @@ import (
 	"sentinel/internal/eval"
 	"sentinel/internal/machine"
 	"sentinel/internal/obs"
+	"sentinel/internal/prog"
 	"sentinel/internal/superblock"
 	"sentinel/internal/workload"
 )
@@ -476,4 +477,51 @@ func mustMachine(t *testing.T, model string, width int) machine.Desc {
 		t.Fatalf("parseMachine(%s, %d): %v", model, width, err)
 	}
 	return md
+}
+
+// TestFullSimulateDivergenceIs500: a full simulate whose result differs
+// from the reference interpreter's (here: a cached reference tampered with
+// after compilation) must become the 500 internal envelope, for a diverging
+// out as for a diverging mem_sum.
+func TestFullSimulateDivergenceIs500(t *testing.T) {
+	src := `
+entry:
+    li   r1, 4096
+    li   r2, 7
+    add  r3, r1, r2
+    jsr  putint, r3
+    halt
+`
+	for _, tc := range []struct {
+		name   string
+		tamper func(ref *prog.Result)
+	}{
+		{"out", func(ref *prog.Result) { ref.Out = []int64{ref.Out[0] + 1} }},
+		{"out_length", func(ref *prog.Result) { ref.Out = append(ref.Out, 0) }},
+		{"mem_sum", func(ref *prog.Result) { ref.MemSum++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			req := map[string]any{"source": src, "model": "sentinel", "width": 4, "full": true}
+			if resp, body := postJSON(t, ts.URL+"/v1/simulate", req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("untampered run: status %d: %s", resp.StatusCode, body)
+			}
+			s.sources.mu.Lock()
+			for _, e := range s.sources.m {
+				<-e.done
+				ref := *e.val.ref
+				tc.tamper(&ref)
+				e.val.ref = &ref
+			}
+			s.sources.mu.Unlock()
+			resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("diverging run: status %d, want 500: %s", resp.StatusCode, body)
+			}
+			if ae := decodeError(t, body); ae.Kind != KindInternal ||
+				!strings.Contains(ae.Message, "diverges from the reference interpreter") {
+				t.Errorf("envelope = %+v, want kind %q with the divergence message", ae, KindInternal)
+			}
+		})
+	}
 }

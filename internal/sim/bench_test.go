@@ -35,22 +35,23 @@ func benchScheduled(b *testing.B, name string, md machine.Desc) (*prog.Program, 
 	return sched, m
 }
 
-// BenchmarkSimRun measures the simulator inner loop on the kernels with the
-// largest superblocks plus wc (the longest dynamic run) under sentinel +
-// speculative stores at issue 8. Memory cloning is inside the loop (every
-// real measurement pays it) but is O(segments), not O(cycles). These are the
-// perf-trajectory benchmarks recorded in BENCH_sim.json; CI fails on a >20%
-// ns/op regression against the committed baseline.
-func BenchmarkSimRun(b *testing.B) {
+// benchSimRun measures Run on the kernels with the largest superblocks plus
+// wc (the longest dynamic run) at issue 8 under md, with the index and, for
+// a predicting frontend, the predictor prebuilt and passed in so the
+// measured loop stays allocation-free. Memory cloning is inside the loop
+// (every real measurement pays it) but is O(segments), not O(cycles).
+func benchSimRun(b *testing.B, md machine.Desc) {
 	for _, name := range []string{"nasa7", "tomcatv", "doduc", "wc"} {
 		b.Run(name, func(b *testing.B) {
-			md := machine.Base(8, machine.SentinelStores)
-			sched, m := benchScheduled(b, name, md)
-			idx := NewProgIndex(sched)
+			sched, m := benchScheduled(b, name, md.CompileView())
+			opts := Options{Index: NewProgIndex(sched)}
+			if md.Predictor != machine.PredPerfect {
+				opts.Pred = NewPredictor(md, opts.Index)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(sched, md, m.Clone(), Options{Index: idx}); err != nil {
+				if _, err := Run(sched, md, m.Clone(), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -58,28 +59,43 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRunTAGE is BenchmarkSimRun with the TAGE frontend: the same
-// kernels, machine and prebuilt index, plus a prebuilt predictor passed via
-// Options.Pred so the measured loop stays allocation-free. The delta against
-// BenchmarkSimRun is the pure frontend cost (lookup, update, redirect and
-// throttle accounting). Recorded in BENCH_sim.json alongside the classic
-// rows and gated by the same CI regression check.
+// BenchmarkSimRun is the simulator inner loop under sentinel + speculative
+// stores. These are the perf-trajectory benchmarks recorded in
+// BENCH_sim.json; CI fails on a >20% ns/op regression against the committed
+// baseline.
+func BenchmarkSimRun(b *testing.B) {
+	benchSimRun(b, machine.Base(8, machine.SentinelStores))
+}
+
+// BenchmarkSimRunTAGE is BenchmarkSimRun with the TAGE frontend. The delta
+// against BenchmarkSimRun is the pure frontend cost (lookup, update,
+// redirect and throttle accounting). Recorded in BENCH_sim.json alongside
+// the classic rows and gated by the same CI regression check.
 func BenchmarkSimRunTAGE(b *testing.B) {
-	for _, name := range []string{"nasa7", "tomcatv", "doduc", "wc"} {
-		b.Run(name, func(b *testing.B) {
-			md := machine.Base(8, machine.SentinelStores).WithPredictor(machine.PredTAGE)
-			sched, m := benchScheduled(b, name, md.CompileView())
-			idx := NewProgIndex(sched)
-			pred := NewPredictor(md, idx)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(sched, md, m.Clone(), Options{Index: idx, Pred: pred}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	benchSimRun(b, machine.Base(8, machine.SentinelStores).WithPredictor(machine.PredTAGE))
+}
+
+// BenchmarkSimRunBoost is BenchmarkSimRun under the boosting model, whose
+// shadow register files commit or discard at every conditional branch.
+// Recorded in BENCH_sim.json and gated like the other rows.
+func BenchmarkSimRunBoost(b *testing.B) {
+	benchSimRun(b, machine.Base(8, machine.Boosting))
+}
+
+// allocsPerRun measures Run's steady-state allocations on one schedule;
+// the memory clone is inside the measured function on every side of a
+// comparison, so its (identical, O(segments)) allocations cancel.
+func allocsPerRun(t *testing.T, sched *prog.Program, m *mem.Memory, md machine.Desc, opts Options) float64 {
+	t.Helper()
+	// One warmup run outside the measurement settles lazy runtime state.
+	if _, err := Run(sched, md, m.Clone(), opts); err != nil {
+		t.Fatal(err)
 	}
+	return testing.AllocsPerRun(5, func() {
+		if _, err := Run(sched, md, m.Clone(), opts); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRunTAGEAllocFree pins the frontend's steady-state allocation behavior:
@@ -94,28 +110,32 @@ func TestRunTAGEAllocFree(t *testing.T) {
 	md := machine.Base(8, machine.SentinelStores).WithPredictor(machine.PredTAGE)
 	sched, m := schedFor(t, "wc", md)
 	idx := NewProgIndex(sched)
-	pred := NewPredictor(md, idx)
-	perfect := md.CompileView()
-
-	measure := func(md machine.Desc, opts Options) float64 {
-		// One warmup run outside the measurement settles lazy runtime state.
-		if _, err := Run(sched, md, m.Clone(), opts); err != nil {
-			t.Fatal(err)
-		}
-		// The clone is inside the measured function on both sides of the
-		// comparison, so its (identical, O(segments)) allocations cancel.
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(sched, md, m.Clone(), opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	base := measure(perfect, Options{Index: idx})
-	tage := measure(md, Options{Index: idx, Pred: pred})
+	base := allocsPerRun(t, sched, m, md.CompileView(), Options{Index: idx})
+	tage := allocsPerRun(t, sched, m, md, Options{Index: idx, Pred: NewPredictor(md, idx)})
 	if tage > base {
 		t.Errorf("TAGE frontend Run allocates %.1f/op > perfect %.1f/op; the frontend must be allocation-free", tage, base)
 	}
 	t.Logf("allocs/op: perfect %.1f, tage %.1f", base, tage)
+}
+
+// TestRunBoostAllocFree bounds the boosting model's allocations: the shadow
+// register files are built once per Run, and commits and discards touch
+// only their presence bitmaps, so a boosting Run allocates no more than a
+// sentinel Run of the same kernel.
+func TestRunBoostAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	sentinel := machine.Base(8, machine.Sentinel)
+	ss, sm := schedFor(t, "wc", sentinel)
+	base := allocsPerRun(t, ss, sm, sentinel, Options{Index: NewProgIndex(ss)})
+	boosting := machine.Base(8, machine.Boosting)
+	bs, bm := schedFor(t, "wc", boosting)
+	boost := allocsPerRun(t, bs, bm, boosting, Options{Index: NewProgIndex(bs)})
+	if boost > base {
+		t.Errorf("boosting Run allocates %.1f/op > sentinel %.1f/op; shadow state must not allocate per branch", boost, base)
+	}
+	t.Logf("allocs/op: sentinel %.1f, boosting %.1f", base, boost)
 }
 
 // BenchmarkSimRunNoIndex is BenchmarkSimRun/wc without a prebuilt ProgIndex:

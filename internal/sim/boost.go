@@ -2,9 +2,9 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"sentinel/internal/ir"
-	"sentinel/internal/machine"
 )
 
 // Shadow register state for the instruction-boosting model (§2.3, after
@@ -17,59 +17,106 @@ import (
 // register file per level.
 
 type shadowVal struct {
-	present bool
-	raw     int64
-	exc     ir.ExcKind
-	excPC   int64
+	raw   int64
+	exc   ir.ExcKind
+	excPC int64
 }
 
+// numRegs is the size of the dense register index space (ir.Reg.Index).
+const numRegs = ir.NumIntRegs + ir.NumFPRegs
+
+// regMask is a presence bitmap over the dense register index space.
+type regMask [numRegs / 64]uint64
+
+func (s *regMask) set(idx int)      { s[idx>>6] |= 1 << (idx & 63) }
+func (s *regMask) has(idx int) bool { return s[idx>>6]&(1<<(idx&63)) != 0 }
+
+// shadowLevel is one shadow register file. Its entries are valid only where
+// the presence bitmap is set, so discarding a level clears 16 bytes rather
+// than the whole file, and a commit visits only the registers it holds.
+type shadowLevel struct {
+	live regMask
+	vals [numRegs]shadowVal
+}
+
+// shadowFile holds one shadow register file per boost level, in a ring: the
+// commit shift renames level l+1 to level l by advancing base, copying
+// nothing.
 type shadowFile struct {
-	levels [][ir.NumIntRegs + ir.NumFPRegs]shadowVal
+	levels []shadowLevel
+	base   int // index in levels of (logical) level 1
+
+	// inline backs levels for up to two boost levels (the base machine's),
+	// so the shadow file adds no allocation of its own.
+	inline [2]shadowLevel
 }
 
-func newShadowFile(levels int) *shadowFile {
-	sf := &shadowFile{}
-	sf.levels = make([][ir.NumIntRegs + ir.NumFPRegs]shadowVal, levels)
-	return sf
+// init sizes the file to the given number of levels, all empty.
+func (sf *shadowFile) init(levels int) {
+	if levels <= len(sf.inline) {
+		sf.levels = sf.inline[:levels]
+	} else {
+		sf.levels = make([]shadowLevel, levels)
+	}
+	sf.base = 0
+	sf.discard()
 }
 
-// write stores a boosted result (or its exception record) at the given
-// level (1-based).
-func (sf *shadowFile) write(level int, r ir.Reg, raw int64, exc ir.ExcKind, excPC int64) {
-	sf.levels[level-1][r.Index()] = shadowVal{present: true, raw: raw, exc: exc, excPC: excPC}
+// level returns the shadow file of a 1-based logical level.
+func (sf *shadowFile) level(l int) *shadowLevel {
+	p := sf.base + l - 1
+	if p >= len(sf.levels) {
+		p -= len(sf.levels)
+	}
+	return &sf.levels[p]
 }
 
-// read returns the newest value of r visible to an instruction boosted
-// above `level` branches: shadow levels level..1, then the architectural
-// value is indicated by present=false.
-func (sf *shadowFile) read(level int, r ir.Reg) (shadowVal, bool) {
+// write stores a boosted result (or its exception record) for the register
+// with dense index idx at the given level (1-based).
+func (sf *shadowFile) write(level, idx int, raw int64, exc ir.ExcKind, excPC int64) {
+	sl := sf.level(level)
+	sl.vals[idx] = shadowVal{raw: raw, exc: exc, excPC: excPC}
+	sl.live.set(idx)
+}
+
+// read returns the newest value of register idx visible to an instruction
+// boosted above `level` branches: shadow levels level..1; false means the
+// architectural value is current.
+func (sf *shadowFile) read(level, idx int) (shadowVal, bool) {
 	for l := level; l >= 1; l-- {
-		if v := sf.levels[l-1][r.Index()]; v.present {
-			return v, true
+		if sl := sf.level(l); sl.live.has(idx) {
+			return sl.vals[idx], true
 		}
 	}
 	return shadowVal{}, false
 }
 
 // commit applies shadow level 1 to the architectural state via the apply
-// callback (called for each present entry; returning false aborts, used
-// when an entry's recorded exception signals), then shifts levels down.
+// callback, called for each present entry in ascending register index;
+// returning false aborts (an entry's recorded exception signals) and leaves
+// every level in place. Otherwise level 1 empties and becomes the new top
+// level, shifting the others down.
 func (sf *shadowFile) commit(apply func(idx int, v shadowVal) bool) bool {
-	for idx := range sf.levels[0] {
-		v := sf.levels[0][idx]
-		if v.present && !apply(idx, v) {
-			return false
+	sl := sf.level(1)
+	for w, word := range sl.live {
+		for ; word != 0; word &= word - 1 {
+			idx := w<<6 | bits.TrailingZeros64(word)
+			if !apply(idx, sl.vals[idx]) {
+				return false
+			}
 		}
 	}
-	copy(sf.levels, sf.levels[1:])
-	sf.levels[len(sf.levels)-1] = [ir.NumIntRegs + ir.NumFPRegs]shadowVal{}
+	sl.live = regMask{}
+	if sf.base++; sf.base == len(sf.levels) {
+		sf.base = 0
+	}
 	return true
 }
 
 // discard clears all shadow state (branch misprediction).
 func (sf *shadowFile) discard() {
 	for i := range sf.levels {
-		sf.levels[i] = [ir.NumIntRegs + ir.NumFPRegs]shadowVal{}
+		sf.levels[i].live = regMask{}
 	}
 }
 
@@ -77,7 +124,13 @@ func (sf *shadowFile) discard() {
 // boost level (0 = architectural).
 func (m *Machine) rdRaw(level int, r ir.Reg) int64 {
 	if level > 0 && m.boost != nil {
-		if v, ok := m.boost.read(level, r); ok {
+		// The operand is physical (Run checked the instruction's record),
+		// so its dense index needs no validation.
+		idx := int(r.N)
+		if r.Class == ir.FPClass {
+			idx += ir.NumIntRegs
+		}
+		if v, ok := m.boost.read(level, idx); ok {
 			return v.raw
 		}
 	}
@@ -94,22 +147,22 @@ func (m *Machine) rdFP(level int, r ir.Reg) float64 {
 // execBoosted executes a boosted (Spec, BoostLevel >= 1) register-writing
 // instruction: its result goes to the shadow file; an exception is recorded
 // in the shadow entry rather than signalled.
-func (m *Machine) execBoosted(in *ir.Instr, t int64) (event, error) {
+func (m *Machine) execBoosted(in *ir.Instr, op opRec, t int64) (event, error) {
 	lvl := in.BoostLevel
 	m.curLvl = lvl
 	val, exc := m.compute(in)
 	m.curLvl = 0
-	if d, ok := in.Def(); ok {
+	if d := op.dest; d >= 0 {
 		if exc != ir.ExcNone {
 			m.stats.TagSets++
 			if m.trace != nil {
 				m.trace.FlowStart(int64(in.PC), traceSlot(in), t)
 			}
-			m.boost.write(lvl, d, 0, exc, int64(in.PC))
+			m.boost.write(lvl, int(d), 0, exc, int64(in.PC))
 		} else {
-			m.boost.write(lvl, d, val, ir.ExcNone, 0)
+			m.boost.write(lvl, int(d), val, ir.ExcNone, 0)
 		}
-		m.setReady(d, t+int64(machine.Latency(in.Op)))
+		m.setReady(d, t+int64(op.lat))
 	}
 	return event{}, nil
 }

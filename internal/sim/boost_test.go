@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"sentinel/internal/ir"
@@ -9,34 +10,40 @@ import (
 	"sentinel/internal/prog"
 )
 
+func newShadowFile(levels int) *shadowFile {
+	sf := &shadowFile{}
+	sf.init(levels)
+	return sf
+}
+
 func TestShadowFileReadThrough(t *testing.T) {
 	sf := newShadowFile(3)
-	sf.write(2, ir.R(5), 42, ir.ExcNone, 0)
+	sf.write(2, ir.R(5).Index(), 42, ir.ExcNone, 0)
 	// Visible at levels >= 2, invisible below.
-	if v, ok := sf.read(3, ir.R(5)); !ok || v.raw != 42 {
+	if v, ok := sf.read(3, ir.R(5).Index()); !ok || v.raw != 42 {
 		t.Errorf("read(3) = %+v, %v", v, ok)
 	}
-	if v, ok := sf.read(2, ir.R(5)); !ok || v.raw != 42 {
+	if v, ok := sf.read(2, ir.R(5).Index()); !ok || v.raw != 42 {
 		t.Errorf("read(2) = %+v, %v", v, ok)
 	}
-	if _, ok := sf.read(1, ir.R(5)); ok {
+	if _, ok := sf.read(1, ir.R(5).Index()); ok {
 		t.Error("level-1 read must miss a level-2 value")
 	}
 	// Higher applicable levels are later in program order and win; lower
 	// levels serve readers boosted above fewer branches.
-	sf.write(1, ir.R(5), 7, ir.ExcNone, 0)
-	if v, _ := sf.read(3, ir.R(5)); v.raw != 42 {
+	sf.write(1, ir.R(5).Index(), 7, ir.ExcNone, 0)
+	if v, _ := sf.read(3, ir.R(5).Index()); v.raw != 42 {
 		t.Errorf("highest applicable level must win, got %d", v.raw)
 	}
-	if v, _ := sf.read(1, ir.R(5)); v.raw != 7 {
+	if v, _ := sf.read(1, ir.R(5).Index()); v.raw != 7 {
 		t.Errorf("level-1 reader must see the level-1 value, got %d", v.raw)
 	}
 }
 
 func TestShadowCommitShiftsLevels(t *testing.T) {
 	sf := newShadowFile(2)
-	sf.write(1, ir.R(1), 10, ir.ExcNone, 0)
-	sf.write(2, ir.R(2), 20, ir.ExcNone, 0)
+	sf.write(1, ir.R(1).Index(), 10, ir.ExcNone, 0)
+	sf.write(2, ir.R(2).Index(), 20, ir.ExcNone, 0)
 	committed := map[int]int64{}
 	sf.commit(func(idx int, v shadowVal) bool {
 		committed[idx] = v.raw
@@ -46,7 +53,7 @@ func TestShadowCommitShiftsLevels(t *testing.T) {
 		t.Errorf("first commit = %v, want only r1=10", committed)
 	}
 	// r2 moved from level 2 to level 1.
-	if v, ok := sf.read(1, ir.R(2)); !ok || v.raw != 20 {
+	if v, ok := sf.read(1, ir.R(2).Index()); !ok || v.raw != 20 {
 		t.Errorf("after shift, read(1, r2) = %+v, %v", v, ok)
 	}
 	committed = map[int]int64{}
@@ -61,10 +68,10 @@ func TestShadowCommitShiftsLevels(t *testing.T) {
 
 func TestShadowDiscard(t *testing.T) {
 	sf := newShadowFile(2)
-	sf.write(1, ir.R(1), 1, ir.ExcNone, 0)
-	sf.write(2, ir.R(2), 2, ir.ExcNone, 0)
+	sf.write(1, ir.R(1).Index(), 1, ir.ExcNone, 0)
+	sf.write(2, ir.R(2).Index(), 2, ir.ExcNone, 0)
 	sf.discard()
-	if _, ok := sf.read(2, ir.R(1)); ok {
+	if _, ok := sf.read(2, ir.R(1).Index()); ok {
 		t.Error("discard must clear all levels")
 	}
 }
@@ -227,5 +234,144 @@ func TestBoostedConsumerReadsShadow(t *testing.T) {
 	}
 	if len(res.Out) != 2 || res.Out[0] != 30 || res.Out[1] != 15 {
 		t.Errorf("out = %v, want [30 15]", res.Out)
+	}
+}
+
+// denseShadow is the reference shadow file: one full register file per
+// level, scanned in register order on commit and shifted by copying whole
+// levels — the straightforward model the sparse shadowFile must match.
+type denseShadow struct {
+	levels [][numRegs]struct {
+		present bool
+		v       shadowVal
+	}
+}
+
+func (d *denseShadow) write(level, idx int, v shadowVal) {
+	d.levels[level-1][idx].present, d.levels[level-1][idx].v = true, v
+}
+
+func (d *denseShadow) read(level, idx int) (shadowVal, bool) {
+	for l := level; l >= 1; l-- {
+		if e := d.levels[l-1][idx]; e.present {
+			return e.v, true
+		}
+	}
+	return shadowVal{}, false
+}
+
+func (d *denseShadow) commit(apply func(idx int, v shadowVal) bool) bool {
+	for idx, e := range d.levels[0] {
+		if e.present && !apply(idx, e.v) {
+			return false
+		}
+	}
+	copy(d.levels, d.levels[1:])
+	clear(d.levels[len(d.levels)-1][:])
+	return true
+}
+
+func (d *denseShadow) discard() {
+	for i := range d.levels {
+		clear(d.levels[i][:])
+	}
+}
+
+// TestShadowFileMatchesDense drives the sparse shadow file and the dense
+// reference through the same random write/read/commit/discard sequences:
+// every read agrees, commits apply the same entries in ascending register
+// order and abort at the same recorded exception, an aborted commit shifts
+// nothing, and discard empties every level.
+func TestShadowFileMatchesDense(t *testing.T) {
+	ops := 20_000
+	if testing.Short() {
+		ops = 2_000
+	}
+	for levels := 1; levels <= 4; levels++ {
+		r := rand.New(rand.NewPCG(uint64(levels), 99))
+		sf := newShadowFile(levels)
+		ref := &denseShadow{levels: make([][numRegs]struct {
+			present bool
+			v       shadowVal
+		}, levels)}
+		// A small register pool makes overwrites and cross-level shadowing
+		// common; an occasional index anywhere in the file keeps both
+		// bitmap words busy.
+		pool := []int{0, 1, 5, 63, 64, 65, 100, 127}
+		reg := func() int {
+			if r.IntN(4) == 0 {
+				return r.IntN(numRegs)
+			}
+			return pool[r.IntN(len(pool))]
+		}
+		sameState := func(step int, what string) {
+			t.Helper()
+			for l := 1; l <= levels; l++ {
+				for idx := 0; idx < numRegs; idx++ {
+					got, gok := sf.read(l, idx)
+					want, wok := ref.read(l, idx)
+					if got != want || gok != wok {
+						t.Fatalf("levels %d step %d after %s: read(%d, %d) = %+v %v, dense %+v %v",
+							levels, step, what, l, idx, got, gok, want, wok)
+					}
+				}
+			}
+		}
+		type applied struct {
+			idx int
+			v   shadowVal
+		}
+		for i := 0; i < ops; i++ {
+			switch k := r.IntN(10); {
+			case k < 6:
+				v := shadowVal{raw: r.Int64()}
+				if r.IntN(8) == 0 {
+					v.exc, v.excPC = ir.ExcPageFault, int64(i)
+				}
+				l, idx := 1+r.IntN(levels), reg()
+				sf.write(l, idx, v.raw, v.exc, v.excPC)
+				ref.write(l, idx, v)
+			case k < 8:
+				l, idx := 1+r.IntN(levels), reg()
+				got, gok := sf.read(l, idx)
+				want, wok := ref.read(l, idx)
+				if got != want || gok != wok {
+					t.Fatalf("levels %d step %d: read(%d, %d) = %+v %v, dense %+v %v",
+						levels, i, l, idx, got, gok, want, wok)
+				}
+			case k < 9:
+				var gotSeq, wantSeq []applied
+				record := func(seq *[]applied) func(int, shadowVal) bool {
+					return func(idx int, v shadowVal) bool {
+						*seq = append(*seq, applied{idx, v})
+						return v.exc == ir.ExcNone
+					}
+				}
+				gok := sf.commit(record(&gotSeq))
+				wok := ref.commit(record(&wantSeq))
+				if gok != wok || len(gotSeq) != len(wantSeq) {
+					t.Fatalf("levels %d step %d: commit = %v applying %v, dense %v applying %v",
+						levels, i, gok, gotSeq, wok, wantSeq)
+				}
+				for j := range gotSeq {
+					if gotSeq[j] != wantSeq[j] || (j > 0 && gotSeq[j].idx <= gotSeq[j-1].idx) {
+						t.Fatalf("levels %d step %d: commit applied %v, want ascending %v",
+							levels, i, gotSeq, wantSeq)
+					}
+				}
+				sameState(i, "commit")
+			default:
+				sf.discard()
+				ref.discard()
+				sameState(i, "discard")
+				for l := 1; l <= levels; l++ {
+					for idx := 0; idx < numRegs; idx++ {
+						if _, ok := sf.read(l, idx); ok {
+							t.Fatalf("levels %d step %d: read(%d, %d) hit after discard", levels, i, l, idx)
+						}
+					}
+				}
+			}
+		}
 	}
 }

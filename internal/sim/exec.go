@@ -8,42 +8,55 @@ import (
 	"sentinel/internal/machine"
 )
 
-// event is the outcome of executing one instruction.
+// flow is what an executed instruction does to the instruction stream.
+type flow uint8
+
+const (
+	flowNext   flow = iota // continue with the next instruction
+	flowTaken              // transfer control to the instruction's Target
+	flowSignal             // signal an exception (event.reportPC, event.kind)
+)
+
+// event is the outcome of executing one instruction. It has at most four
+// fields so the compiler keeps exec's result in registers: a wider struct is
+// spilled byte by byte and reloaded as a vector, a store-forwarding stall
+// on every dynamic instruction.
 type event struct {
-	signalled bool
-	reportPC  int
-	kind      ir.ExcKind
-	taken     bool
-	target    string
-	stall     int64 // extra cycles lost to store-buffer pressure
+	flow     flow
+	kind     ir.ExcKind
+	reportPC int
+	stall    int64 // extra cycles lost to store-buffer pressure
 }
+
+func (e event) signalled() bool { return e.flow == flowSignal }
+func (e event) taken() bool     { return e.flow == flowTaken }
 
 func signal(reportPC int64, kind ir.ExcKind) event {
-	return event{signalled: true, reportPC: int(reportPC), kind: kind}
+	return event{flow: flowSignal, reportPC: int(reportPC), kind: kind}
 }
 
-// exec executes one instruction at issue time t, implementing Table 1
-// (exception detection with sentinel scheduling) and Table 2 (store-buffer
-// insertion).
-func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
+// exec executes one instruction, whose operand record is op, at issue time
+// t, implementing Table 1 (exception detection with sentinel scheduling)
+// and Table 2 (store-buffer insertion).
+func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 	m.pcq.Push(in.PC)
-	usesTags := m.md.Model.UsesTags()
+	usesTags := m.usesTags
 
 	switch in.Op {
 	case ir.Nop, ir.Halt:
 		return event{}, nil
 
 	case ir.ClearTag:
-		m.setTag(in.Dest, Tag{})
-		m.setReady(in.Dest, t+1)
+		m.setTag(op.dest, Tag{})
+		m.setReady(op.dest, t+1)
 		return event{}, nil
 
 	case ir.Check:
 		// The explicit sentinel: signals iff its source carries an
 		// exception condition; performs no computation (§3.2).
 		if usesTags {
-			if tg := m.tag(in.Src1); tg.Set {
-				return signal(m.Raw(in.Src1), tg.Kind), nil
+			if r := op.src1; r >= 0 && m.Tags[r].Set {
+				return signal(m.rawAt(r), m.Tags[r].Kind), nil
 			}
 		}
 		return event{}, nil
@@ -59,14 +72,14 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 		return event{}, nil
 
 	case ir.Jmp:
-		return event{taken: true, target: in.Target}, nil
+		return event{flow: flowTaken}, nil
 
 	case ir.Jsr:
 		// Calls are never speculative; a tagged argument register makes the
 		// call act as a sentinel.
 		if usesTags {
-			if tg := m.tag(in.Src1); tg.Set {
-				return signal(m.Raw(in.Src1), tg.Kind), nil
+			if r := op.src1; r >= 0 && m.Tags[r].Set {
+				return signal(m.rawAt(r), m.Tags[r].Kind), nil
 			}
 		}
 		switch in.Target {
@@ -81,9 +94,8 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 		// Branches are never speculative; a tagged source makes the branch
 		// the sentinel (Table 1, spec=0 rows).
 		if usesTags {
-			if r := m.firstTaggedSrc(in); r.Valid() {
-				tg := m.tag(r)
-				return signal(m.Raw(r), tg.Kind), nil
+			if r := m.firstTaggedSrc(op); r >= 0 {
+				return signal(m.rawAt(r), m.Tags[r].Kind), nil
 			}
 		}
 		b := in.Imm
@@ -94,12 +106,12 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 			if m.boost != nil {
 				m.boost.discard() // misprediction: shadow state dies
 			}
-			return event{taken: true, target: in.Target}, nil
+			return event{flow: flowTaken}, nil
 		}
 		if m.boost != nil {
 			// Correct prediction: one shadow level commits; a recorded
 			// boosted exception signals here with the boosted PC (§2.3).
-			if ev := m.commitBoost(); ev.signalled {
+			if ev := m.commitBoost(); ev.signalled() {
 				return ev, nil
 			}
 		}
@@ -110,7 +122,10 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 		// register spill, function call or context switch.
 		m.buf.flushConfirmed(m.Mem)
 		addr := m.Int[in.Src1.N] + in.Imm
-		tg := m.tag(in.Src2)
+		var tg Tag
+		if r := op.src2; r >= 0 {
+			tg = m.Tags[r]
+		}
 		var tagByte byte
 		if tg.Set {
 			tagByte = byte(tg.Kind)
@@ -129,11 +144,11 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 		}
 		m.SetRaw(in.Dest, int64(v))
 		if tagByte != 0 {
-			m.setTag(in.Dest, Tag{Set: true, Kind: ir.ExcKind(tagByte)})
+			m.setTag(op.dest, Tag{Set: true, Kind: ir.ExcKind(tagByte)})
 		} else {
-			m.setTag(in.Dest, Tag{})
+			m.setTag(op.dest, Tag{})
 		}
-		m.setReady(in.Dest, t+int64(machine.Latency(in.Op)))
+		m.setReady(op.dest, t+int64(op.lat))
 		return event{}, nil
 	}
 
@@ -141,35 +156,35 @@ func (m *Machine) exec(in *ir.Instr, t int64) (event, error) {
 		if ir.BufferedStore(in.Op) {
 			return m.execBoostedStore(in, t)
 		}
-		return m.execBoosted(in, t)
+		return m.execBoosted(in, op, t)
 	}
 	if ir.BufferedStore(in.Op) {
-		return m.execStore(in, t, usesTags)
+		return m.execStore(in, op, t, usesTags)
 	}
-	return m.execValue(in, t, usesTags)
+	return m.execValue(in, op, t, usesTags)
 }
 
 // execValue implements Table 1 for register-writing instructions.
-func (m *Machine) execValue(in *ir.Instr, t int64, usesTags bool) (event, error) {
-	var srcTag ir.Reg
+func (m *Machine) execValue(in *ir.Instr, op opRec, t int64, usesTags bool) (event, error) {
+	srcTag := int8(-1)
 	if usesTags {
-		srcTag = m.firstTaggedSrc(in)
+		srcTag = m.firstTaggedSrc(op)
 	}
-	lat := int64(machine.Latency(in.Op))
+	lat := int64(op.lat)
 
 	if in.Spec {
-		if srcTag.Valid() {
+		if srcTag >= 0 {
 			// Exception propagation (Table 1, spec=1 src-tag=1 rows): the
 			// destination's tag is set and the first tagged source's data
 			// (the excepting PC) is copied through.
-			tg := m.tag(srcTag)
+			tg := m.Tags[srcTag]
 			m.stats.TagPropagations++
 			if m.trace != nil {
-				m.trace.FlowStep(m.Raw(srcTag), traceSlot(in), t)
+				m.trace.FlowStep(m.rawAt(srcTag), traceSlot(in), t)
 			}
-			m.SetRaw(in.Dest, m.Raw(srcTag))
-			m.setTag(in.Dest, tg)
-			m.setReady(in.Dest, t+lat)
+			m.SetRaw(in.Dest, m.rawAt(srcTag))
+			m.setTag(op.dest, tg)
+			m.setReady(op.dest, t+lat)
 			return event{}, nil
 		}
 		val, exc := m.compute(in)
@@ -184,43 +199,42 @@ func (m *Machine) execValue(in *ir.Instr, t int64, usesTags bool) (event, error)
 					m.trace.FlowStart(int64(in.PC), traceSlot(in), t)
 				}
 				m.SetRaw(in.Dest, int64(in.PC))
-				m.setTag(in.Dest, Tag{Set: true, Kind: exc})
+				m.setTag(op.dest, Tag{Set: true, Kind: exc})
 			} else {
 				// General percolation (§2.4): the silent version writes a
 				// garbage value and the exception is ignored.
 				m.SetRaw(in.Dest, GarbageValue)
 			}
-			m.setReady(in.Dest, t+lat)
+			m.setReady(op.dest, t+lat)
 			return event{}, nil
 		}
 		m.SetRaw(in.Dest, val)
-		m.setTag(in.Dest, Tag{})
-		m.setReady(in.Dest, t+lat)
+		m.setTag(op.dest, Tag{})
+		m.setReady(op.dest, t+lat)
 		return event{}, nil
 	}
 
 	// Non-speculative (Table 1, spec=0 rows).
-	if srcTag.Valid() {
+	if srcTag >= 0 {
 		// This instruction is the sentinel for an earlier speculative
 		// exception: signal, reporting the tagged source's data as the PC.
-		tg := m.tag(srcTag)
-		return signal(m.Raw(srcTag), tg.Kind), nil
+		return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind), nil
 	}
 	val, exc := m.compute(in)
 	if exc != ir.ExcNone {
 		return signal(int64(in.PC), exc), nil
 	}
 	m.SetRaw(in.Dest, val)
-	m.setTag(in.Dest, Tag{})
-	m.setReady(in.Dest, t+lat)
+	m.setTag(op.dest, Tag{})
+	m.setReady(op.dest, t+lat)
 	return event{}, nil
 }
 
 // execStore implements Table 2: insertion of a store into the store buffer.
-func (m *Machine) execStore(in *ir.Instr, t int64, usesTags bool) (event, error) {
-	var srcTag ir.Reg
+func (m *Machine) execStore(in *ir.Instr, op opRec, t int64, usesTags bool) (event, error) {
+	srcTag := int8(-1)
 	if usesTags {
-		srcTag = m.firstTaggedSrc(in)
+		srcTag = m.firstTaggedSrc(op)
 	}
 	addr := m.Int[in.Src1.N] + in.Imm
 	size := ir.MemSize(in.Op)
@@ -228,10 +242,9 @@ func (m *Machine) execStore(in *ir.Instr, t int64, usesTags bool) (event, error)
 	fault := m.Mem.Check(addr, size)
 
 	if !in.Spec {
-		if srcTag.Valid() {
+		if srcTag >= 0 {
 			// Table 2 rows 010/011: the store is the sentinel.
-			tg := m.tag(srcTag)
-			return signal(m.Raw(srcTag), tg.Kind), nil
+			return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind), nil
 		}
 		if fault != nil {
 			// Table 2 row 001: force confirmed head entries to update the
@@ -253,11 +266,10 @@ func (m *Machine) execStore(in *ir.Instr, t int64, usesTags bool) (event, error)
 	}
 	e := Entry{Addr: addr, Size: size, Data: data}
 	switch {
-	case srcTag.Valid():
+	case srcTag >= 0:
 		// Table 2 rows 110/111: propagate the source's exception condition
 		// into the probationary entry.
-		tg := m.tag(srcTag)
-		e.ExcSet, e.ExcKind, e.ExcPC = true, tg.Kind, m.Raw(srcTag)
+		e.ExcSet, e.ExcKind, e.ExcPC = true, m.Tags[srcTag].Kind, m.rawAt(srcTag)
 		m.stats.TagPropagations++
 		if m.trace != nil {
 			m.trace.FlowStep(e.ExcPC, traceSlot(in), t)
@@ -291,12 +303,12 @@ func (m *Machine) noteBufInsert(t int64) {
 	}
 }
 
-// setReady records the scoreboard availability time of a destination.
-func (m *Machine) setReady(r ir.Reg, at int64) {
-	if !r.Valid() || r.IsZero() {
-		return
+// setReady records the scoreboard availability time of the register with
+// dense index r (-1, no register or r0, is ignored).
+func (m *Machine) setReady(r int8, at int64) {
+	if r >= 0 {
+		m.readyAt[r] = at
 	}
-	m.readyAt[r.Index()] = at
 }
 
 // compute evaluates the value semantics of a non-store, register-writing

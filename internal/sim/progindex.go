@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"sentinel/internal/ir"
+	"sentinel/internal/machine"
 	"sentinel/internal/prog"
 )
 
@@ -15,12 +16,43 @@ var progIndexBuilds atomic.Int64
 // pos is the (block, instruction) coordinate of a PC.
 type pos struct{ block, idx int32 }
 
+// opRec is an instruction's operands pre-decoded for the simulator's issue
+// path: dense register indices (ir.Reg.Index) of Src1, Src2 and Dest, -1
+// where the operand is absent or r0 (which the scoreboard, the exception
+// tags and the shadow file all ignore), and the opcode's latency. phantom
+// marks an instruction naming a non-physical register: Run panics with
+// ir.Reg.Index's message when (and only if) such an instruction executes.
+type opRec struct {
+	src1, src2, dest int8
+	lat              uint8
+	phantom          bool
+}
+
+// decodeOps builds in's operand record.
+func decodeOps(in *ir.Instr) opRec {
+	rec := opRec{lat: uint8(machine.Latency(in.Op))}
+	dense := func(r ir.Reg) int8 {
+		switch {
+		case !r.Valid() || r.IsZero():
+			return -1
+		case r.Virtual || r.N < 0 || int(r.N) >= ir.NumIntRegs || int(r.N) >= ir.NumFPRegs:
+			rec.phantom = true
+			return -1
+		}
+		return int8(r.Index())
+	}
+	rec.src1, rec.src2, rec.dest = dense(in.Src1), dense(in.Src2), dense(in.Dest)
+	return rec
+}
+
 // ProgIndex is a dense PC-indexed acceleration structure for Run: per-PC
-// (block, instruction) positions for recovery restarts, and per-PC branch
+// (block, instruction) positions for recovery restarts, per-PC branch
 // target block indices so a taken transfer does not pay prog.BlockIndex's
-// linear label scan on every redirect. Build one with NewProgIndex and pass
-// it via Options.Index to amortise the construction across the many runs of
-// a single scheduled program (Run otherwise builds its own, once, up front).
+// linear label scan on every redirect, and per-instruction operand records
+// so the issue path decodes no register operand. Build one with
+// NewProgIndex and pass it via Options.Index to amortise the construction
+// across the many runs of a single scheduled program (Run otherwise builds
+// its own, once, up front).
 type ProgIndex struct {
 	p *prog.Program
 
@@ -35,6 +67,11 @@ type ProgIndex struct {
 	targetBlock []int32
 
 	byLabel map[string]int32
+
+	// ops holds every instruction's operand record in layout order; block
+	// bi's records are ops[opsAt[bi]:opsAt[bi+1]], indexed like its Instrs.
+	ops   []opRec
+	opsAt []int32
 
 	// Branch-history footprint: every conditional branch gets a dense id so
 	// predictor tables index by a small integer instead of hashing PCs, and
@@ -80,7 +117,8 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 	for _, b := range p.Blocks {
 		n += len(b.Instrs)
 	}
-	ix := &ProgIndex{p: p, byLabel: make(map[string]int32, len(p.Blocks))}
+	ix := &ProgIndex{p: p, byLabel: make(map[string]int32, len(p.Blocks)),
+		ops: make([]opRec, 0, n), opsAt: make([]int32, 0, len(p.Blocks)+1)}
 	for bi, b := range p.Blocks {
 		if _, dup := ix.byLabel[b.Label]; !dup {
 			ix.byLabel[b.Label] = int32(bi)
@@ -114,7 +152,9 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 		ix.branchIDMap = make(map[int]int32)
 	}
 	for bi, b := range p.Blocks {
+		ix.opsAt = append(ix.opsAt, int32(len(ix.ops)))
 		for ii, in := range b.Instrs {
+			ix.ops = append(ix.ops, decodeOps(in))
 			tb := int32(-1)
 			if in.Target != "" {
 				if t, ok := ix.byLabel[in.Target]; ok {
@@ -140,7 +180,13 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 			}
 		}
 	}
+	ix.opsAt = append(ix.opsAt, int32(len(ix.ops)))
 	return ix
+}
+
+// blockOps returns block bi's operand records, indexed like its Instrs.
+func (ix *ProgIndex) blockOps(bi int) []opRec {
+	return ix.ops[ix.opsAt[bi]:ix.opsAt[bi+1]]
 }
 
 // lookup returns the position of pc, for recovery restarts.

@@ -108,12 +108,13 @@ type Machine struct {
 	FP   [ir.NumFPRegs]float64
 	Tags [ir.NumIntRegs + ir.NumFPRegs]Tag
 
-	readyAt [ir.NumIntRegs + ir.NumFPRegs]int64
-	buf     *storeBuffer
-	pcq     *PCQueue
-	boost   *shadowFile // shadow register files (boosting model only)
-	curLvl  int         // boost level of the currently executing instruction
-	out     []int64
+	readyAt  [ir.NumIntRegs + ir.NumFPRegs]int64
+	buf      *storeBuffer
+	pcq      *PCQueue
+	boost    *shadowFile // shadow register files (boosting model only)
+	curLvl   int         // boost level of the currently executing instruction
+	usesTags bool        // md.Model.UsesTags(), hoisted out of exec
+	out      []int64
 
 	instrs int64
 	stats  obs.SimStats
@@ -150,29 +151,46 @@ func (m *Machine) SetRaw(r ir.Reg, v int64) {
 	m.FP[r.N] = math.Float64frombits(uint64(v))
 }
 
-// tag returns the register's exception tag.
-func (m *Machine) tag(r ir.Reg) Tag { return m.Tags[r.Index()] }
-
-// setTag sets or clears the register's exception tag.
-func (m *Machine) setTag(r ir.Reg, t Tag) {
-	if r.IsZero() {
-		return
+// rawAt is Raw for the register with dense index r (ir.Reg.Index).
+func (m *Machine) rawAt(r int8) int64 {
+	if r < ir.NumIntRegs {
+		return m.Int[r]
 	}
-	m.Tags[r.Index()] = t
+	return int64(math.Float64bits(m.FP[r-ir.NumIntRegs]))
 }
 
-// firstTaggedSrc returns the first source operand of in whose exception tag
-// is set (Table 1: "the first source operand of I whose exception tag is
-// set"), or NoReg. Written out over Src1/Src2 directly — a slice literal
-// here would allocate on every tagged-model dynamic instruction.
-func (m *Machine) firstTaggedSrc(in *ir.Instr) ir.Reg {
-	if r := in.Src1; r.Valid() && !r.IsZero() && m.tag(r).Set {
+// setTag sets or clears the exception tag of the register with dense index
+// r (-1, no register or r0, is ignored).
+func (m *Machine) setTag(r int8, t Tag) {
+	if r >= 0 {
+		m.Tags[r] = t
+	}
+}
+
+// firstTaggedSrc returns the dense index of the first source operand whose
+// exception tag is set (Table 1: "the first source operand of I whose
+// exception tag is set"), or -1.
+func (m *Machine) firstTaggedSrc(op opRec) int8 {
+	if r := op.src1; r >= 0 && m.Tags[r].Set {
 		return r
 	}
-	if r := in.Src2; r.Valid() && !r.IsZero() && m.tag(r).Set {
+	if r := op.src2; r >= 0 && m.Tags[r].Set {
 		return r
 	}
-	return ir.NoReg
+	return -1
+}
+
+// checkPhysical panics for an instruction naming a register outside the
+// architectural files (its operand record marks it phantom), as decoding
+// the operand would have: ir.Reg.Index's panic for a virtual register, an
+// index fault for one past the end of its file.
+func (m *Machine) checkPhysical(in *ir.Instr) {
+	for _, r := range [...]ir.Reg{in.Src1, in.Src2, in.Dest} {
+		if r.Valid() && !r.IsZero() {
+			r.Index()
+			m.Raw(r)
+		}
+	}
 }
 
 type abort struct {
@@ -189,6 +207,26 @@ func Unhandled(err error) (Exception, bool) {
 	return Exception{}, false
 }
 
+// boostMachine is a boosting-model Machine allocated together with its
+// shadow file, so the shadow state costs a boosting Run no allocation and
+// every other model no memory.
+type boostMachine struct {
+	Machine
+	shadow shadowFile
+}
+
+// newMachine allocates a Machine for md, with an empty shadow file under
+// the boosting model.
+func newMachine(md machine.Desc) *Machine {
+	if md.Model != machine.Boosting {
+		return &Machine{md: md}
+	}
+	bm := &boostMachine{Machine: Machine{md: md}}
+	bm.shadow.init(md.BoostLevels)
+	bm.boost = &bm.shadow
+	return &bm.Machine
+}
+
 // Run simulates the scheduled program p on machine md with the given data
 // memory (mutated in place). The program must be laid out (Layout).
 func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*Result, error) {
@@ -198,16 +236,12 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 200_000_000
 	}
-	m := &Machine{
-		md:  md,
-		p:   p,
-		Mem: memory,
-		buf: newStoreBuffer(md.StoreBuffer),
-		pcq: NewPCQueue(32),
-	}
-	if md.Model == machine.Boosting {
-		m.boost = newShadowFile(md.BoostLevels)
-	}
+	m := newMachine(md)
+	m.p = p
+	m.Mem = memory
+	m.buf = newStoreBuffer(md.StoreBuffer)
+	m.pcq = NewPCQueue(32)
+	m.usesTags = md.Model.UsesTags()
 	m.trace = opts.Trace
 	m.out = make([]int64, 0, 32)
 	res := &Result{}
@@ -248,6 +282,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 	start := 0 // instruction index to start at within the block (recovery)
 	for bi >= 0 && bi < len(p.Blocks) {
 		b := p.Blocks[bi]
+		ops := idx.blockOps(bi)
 		blockStart := now
 		if start > 0 && start < len(b.Instrs) {
 			// Restarting mid-block: align the schedule so the restart
@@ -260,7 +295,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 		last := now
 
 		for i := start; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+			in, op := b.Instrs[i], ops[i]
 			m.instrs++
 			if m.instrs > opts.MaxInstrs {
 				return res, fmt.Errorf("sim: instruction budget exceeded (%d)", opts.MaxInstrs)
@@ -279,16 +314,18 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			if t < last {
 				t = last // in-order issue: never earlier than an older instruction
 			}
-			// Scoreboard check on source operands, written out over
-			// Src1/Src2 directly: Uses() allocates a slice, and this is
+			// Scoreboard check on the pre-decoded source operands: this is
 			// the simulator's per-dynamic-instruction hot path.
-			if r := in.Src1; r.Valid() && !r.IsZero() {
-				if ra := m.readyAt[r.Index()]; ra > t {
+			if op.phantom {
+				m.checkPhysical(in)
+			}
+			if r := op.src1; r >= 0 {
+				if ra := m.readyAt[r]; ra > t {
 					t = ra
 				}
 			}
-			if r := in.Src2; r.Valid() && !r.IsZero() {
-				if ra := m.readyAt[r.Index()]; ra > t {
+			if r := op.src2; r >= 0 {
+				if ra := m.readyAt[r]; ra > t {
 					t = ra
 				}
 			}
@@ -317,10 +354,10 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			}
 			if m.trace != nil {
 				m.trace.Slice(traceSlot(in), in.Op.String(), t,
-					int64(machine.Latency(in.Op)), in.PC, in.Spec)
+					int64(op.lat), in.PC, in.Spec)
 			}
 
-			ev, err := m.exec(in, t)
+			ev, err := m.exec(in, op, t)
 			if err != nil {
 				res.Cycles = t
 				return res, err
@@ -330,7 +367,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				blockStart += ev.stall
 				last = t + ev.stall
 			}
-			if ev.signalled {
+			if ev.signalled() {
 				m.stats.SentinelSignals++
 				if in.Op == ir.Check {
 					m.stats.CheckFires++
@@ -365,16 +402,16 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			if pred != nil && ir.IsBranch(in.Op) {
 				if bid := idx.branchOf(in.PC); bid >= 0 {
 					predTaken := pred.Predict(bid)
-					pred.Update(bid, ev.taken)
+					pred.Update(bid, ev.taken())
 					m.stats.PredictedBranches++
-					if predTaken != ev.taken {
+					if predTaken != ev.taken() {
 						mispredicted = true
 						m.stats.Mispredicts++
 						m.stats.MispredictCycles += int64(m.md.MispredictPenalty)
 					}
 				}
 			}
-			if ev.taken {
+			if ev.taken() {
 				// Taken control transfer: younger instructions (same cycle,
 				// later slots, and all later cycles) are nullified simply by
 				// leaving the block loop. A taken conditional branch is a
@@ -391,7 +428,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 					penalty = int64(m.md.MispredictPenalty)
 				}
 				m.stats.RedirectCycles += penalty
-				redirect = idx.blockOf(in.PC, ev.target)
+				redirect = idx.blockOf(in.PC, in.Target)
 				now = t + 1 + penalty
 				if pred != nil {
 					throttleT = now

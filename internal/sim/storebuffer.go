@@ -155,23 +155,36 @@ func (sb *storeBuffer) insert(t int64, e Entry, m *mem.Memory) (int64, error) {
 // all overlapping buffer entries in insertion order (oldest to youngest), so
 // the youngest store wins byte-wise. Probationary entries whose exception
 // tag is set do not participate in the search (§4.1), enabling independent
-// re-execution of the load and the excepting store.
+// re-execution of the load and the excepting store. A load that no
+// forwardable entry overlaps (the common case) returns the memory value as
+// read.
 func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64, *mem.Fault) {
 	v, f := m.Read(addr, size)
 	if f != nil {
 		return 0, f
 	}
+	end := addr + int64(size)
+	first := 0
+	for ; first < sb.count; first++ {
+		e := sb.at(first)
+		if !(e.ExcSet && !e.Confirmed) && e.Addr < end && addr < e.Addr+int64(e.Size) {
+			break
+		}
+	}
+	if first == sb.count {
+		return v, nil
+	}
 	var bytes [8]byte
 	for i := 0; i < size; i++ {
 		bytes[i] = byte(v >> (8 * i))
 	}
-	for i := 0; i < sb.count; i++ {
+	for i := first; i < sb.count; i++ {
 		e := sb.at(i)
 		if e.ExcSet && !e.Confirmed {
 			continue
 		}
 		lo := max64(addr, e.Addr)
-		hi := min64(addr+int64(size), e.Addr+int64(e.Size))
+		hi := min64(end, e.Addr+int64(e.Size))
 		for b := lo; b < hi; b++ {
 			bytes[b-addr] = byte(e.Data >> (8 * (b - e.Addr)))
 		}

@@ -14,10 +14,22 @@ func testMachine(model machine.Model) *Machine {
 		Mem: mem.New(),
 		buf: newStoreBuffer(8),
 		pcq: NewPCQueue(32),
+
+		usesTags: model.UsesTags(),
 	}
 	m.Mem.Map("data", 0x1000, 64)
 	return m
 }
+
+// exec1 executes one instruction, decoding its operands as ProgIndex does.
+func (m *Machine) exec1(in *ir.Instr, t int64) (event, error) {
+	return m.exec(in, decodeOps(in), t)
+}
+
+// tag and setRegTag address a register's exception tag by name.
+func (m *Machine) tag(r ir.Reg) Tag { return m.Tags[r.Index()] }
+
+func (m *Machine) setRegTag(r ir.Reg, t Tag) { m.Tags[r.Index()] = t }
 
 // TestTable1 drives every row of Table 1 (exception detection with sentinel
 // scheduling) through the register-file semantics.
@@ -37,7 +49,7 @@ func TestTable1(t *testing.T) {
 		}
 		if srcTagged {
 			m.Int[2] = specPC // data field carries the excepting PC
-			m.setTag(ir.R(2), Tag{Set: true, Kind: ir.ExcPageFault})
+			m.setRegTag(ir.R(2), Tag{Set: true, Kind: ir.ExcPageFault})
 		}
 		m.Mem.Write(0x1000, 8, 42)
 		return m
@@ -51,8 +63,8 @@ func TestTable1(t *testing.T) {
 
 	t.Run("000_conventional", func(t *testing.T) {
 		m := setup(true, false)
-		ev, err := m.exec(load(false, 10), 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(load(false, 10), 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if m.Int[1] != 42 || m.tag(ir.R(1)).Set {
@@ -61,8 +73,8 @@ func TestTable1(t *testing.T) {
 	})
 	t.Run("001_nonspec_exception_signals_own_pc", func(t *testing.T) {
 		m := setup(false, false)
-		ev, err := m.exec(load(false, 10), 0)
-		if err != nil || !ev.signalled || ev.reportPC != 10 {
+		ev, err := m.exec1(load(false, 10), 0)
+		if err != nil || !ev.signalled() || ev.reportPC != 10 {
 			t.Fatalf("ev=%+v err=%v, want signal pc 10", ev, err)
 		}
 	})
@@ -70,8 +82,8 @@ func TestTable1(t *testing.T) {
 		m := setup(true, true)
 		add := ir.ALUI(ir.Add, ir.R(3), ir.R(2), 1)
 		add.PC = 11
-		ev, err := m.exec(add, 0)
-		if err != nil || !ev.signalled || ev.reportPC != specPC {
+		ev, err := m.exec1(add, 0)
+		if err != nil || !ev.signalled() || ev.reportPC != specPC {
 			t.Fatalf("ev=%+v err=%v, want signal pc %d", ev, err, specPC)
 		}
 		if ev.kind != ir.ExcPageFault {
@@ -80,15 +92,15 @@ func TestTable1(t *testing.T) {
 	})
 	t.Run("011_sentinel_signals_before_own_exception", func(t *testing.T) {
 		m := setup(false, true) // base tagged AND load would fault
-		ev, err := m.exec(load(false, 12), 0)
-		if err != nil || !ev.signalled || ev.reportPC != specPC {
+		ev, err := m.exec1(load(false, 12), 0)
+		if err != nil || !ev.signalled() || ev.reportPC != specPC {
 			t.Fatalf("ev=%+v err=%v, want signal pc %d", ev, err, specPC)
 		}
 	})
 	t.Run("100_speculative_conventional", func(t *testing.T) {
 		m := setup(true, false)
-		ev, err := m.exec(load(true, 13), 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(load(true, 13), 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if m.Int[1] != 42 || m.tag(ir.R(1)).Set {
@@ -97,8 +109,8 @@ func TestTable1(t *testing.T) {
 	})
 	t.Run("101_speculative_exception_tags_dest_with_pc", func(t *testing.T) {
 		m := setup(false, false)
-		ev, err := m.exec(load(true, 14), 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(load(true, 14), 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v: speculative exception must not signal", ev, err)
 		}
 		if tg := m.tag(ir.R(1)); !tg.Set || tg.Kind != ir.ExcAccessViolation {
@@ -113,8 +125,8 @@ func TestTable1(t *testing.T) {
 		add := ir.ALUI(ir.Add, ir.R(3), ir.R(2), 1)
 		add.Spec = true
 		add.PC = 15
-		ev, err := m.exec(add, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(add, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if tg := m.tag(ir.R(3)); !tg.Set {
@@ -126,8 +138,8 @@ func TestTable1(t *testing.T) {
 	})
 	t.Run("111_propagation_wins_over_own_exception", func(t *testing.T) {
 		m := setup(false, true)
-		ev, err := m.exec(load(true, 16), 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(load(true, 16), 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if m.Int[1] != specPC {
@@ -137,11 +149,11 @@ func TestTable1(t *testing.T) {
 	t.Run("first_tagged_source_wins", func(t *testing.T) {
 		m := testMachine(machine.Sentinel)
 		m.Int[2], m.Int[3] = 100, 200
-		m.setTag(ir.R(2), Tag{Set: true, Kind: ir.ExcPageFault})
-		m.setTag(ir.R(3), Tag{Set: true, Kind: ir.ExcDivZero})
+		m.setRegTag(ir.R(2), Tag{Set: true, Kind: ir.ExcPageFault})
+		m.setRegTag(ir.R(3), Tag{Set: true, Kind: ir.ExcDivZero})
 		add := ir.ALU(ir.Add, ir.R(4), ir.R(2), ir.R(3))
 		add.Spec = true
-		if _, err := m.exec(add, 0); err != nil {
+		if _, err := m.exec1(add, 0); err != nil {
 			t.Fatal(err)
 		}
 		if m.Int[4] != 100 {
@@ -153,9 +165,9 @@ func TestTable1(t *testing.T) {
 	})
 	t.Run("normal_write_clears_tag", func(t *testing.T) {
 		m := testMachine(machine.Sentinel)
-		m.setTag(ir.R(1), Tag{Set: true, Kind: ir.ExcPageFault})
+		m.setRegTag(ir.R(1), Tag{Set: true, Kind: ir.ExcPageFault})
 		li := ir.LI(ir.R(1), 5)
-		if _, err := m.exec(li, 0); err != nil {
+		if _, err := m.exec1(li, 0); err != nil {
 			t.Fatal(err)
 		}
 		if m.tag(ir.R(1)).Set {
@@ -177,7 +189,7 @@ func TestTable2(t *testing.T) {
 		m.Int[5] = 77 // store data
 		if srcTagged {
 			m.Int[5] = specPC
-			m.setTag(ir.R(5), Tag{Set: true, Kind: ir.ExcPageFault})
+			m.setRegTag(ir.R(5), Tag{Set: true, Kind: ir.ExcPageFault})
 		}
 		st := ir.STORE(ir.St, ir.R(2), 0, ir.R(5))
 		st.PC = 30
@@ -186,8 +198,8 @@ func TestTable2(t *testing.T) {
 
 	t.Run("000_confirmed_entry", func(t *testing.T) {
 		m, st := setup(true, false)
-		ev, err := m.exec(st, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(st, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		es := m.buf.Entries()
@@ -198,12 +210,12 @@ func TestTable2(t *testing.T) {
 	t.Run("001_nonspec_fault_flushes_and_signals", func(t *testing.T) {
 		m, _ := setup(true, false)
 		// Pre-load a confirmed entry that must be forced to the cache.
-		m.exec(ir.STORE(ir.St, ir.R(2), 8, ir.R(5)), 0)
+		m.exec1(ir.STORE(ir.St, ir.R(2), 8, ir.R(5)), 0)
 		m.Int[2] = 0xdead000
 		st := ir.STORE(ir.St, ir.R(2), 0, ir.R(5))
 		st.PC = 31
-		ev, err := m.exec(st, 1)
-		if err != nil || !ev.signalled || ev.reportPC != 31 {
+		ev, err := m.exec1(st, 1)
+		if err != nil || !ev.signalled() || ev.reportPC != 31 {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if m.buf.Len() != 0 {
@@ -215,8 +227,8 @@ func TestTable2(t *testing.T) {
 	})
 	t.Run("010_store_as_sentinel", func(t *testing.T) {
 		m, st := setup(true, true)
-		ev, err := m.exec(st, 0)
-		if err != nil || !ev.signalled || ev.reportPC != specPC {
+		ev, err := m.exec1(st, 0)
+		if err != nil || !ev.signalled() || ev.reportPC != specPC {
 			t.Fatalf("ev=%+v err=%v, want signal pc %d", ev, err, specPC)
 		}
 		if m.buf.Len() != 0 {
@@ -226,8 +238,8 @@ func TestTable2(t *testing.T) {
 	t.Run("100_probationary_entry", func(t *testing.T) {
 		m, st := setup(true, false)
 		st.Spec = true
-		ev, err := m.exec(st, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(st, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		es := m.buf.Entries()
@@ -238,8 +250,8 @@ func TestTable2(t *testing.T) {
 	t.Run("101_spec_fault_tags_entry_with_own_pc", func(t *testing.T) {
 		m, st := setup(false, false)
 		st.Spec = true
-		ev, err := m.exec(st, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(st, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("speculative store exception must not signal: %+v %v", ev, err)
 		}
 		es := m.buf.Entries()
@@ -250,8 +262,8 @@ func TestTable2(t *testing.T) {
 	t.Run("110_spec_tagged_source_propagates", func(t *testing.T) {
 		m, st := setup(true, true)
 		st.Spec = true
-		ev, err := m.exec(st, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(st, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		es := m.buf.Entries()
@@ -265,8 +277,8 @@ func TestTable2(t *testing.T) {
 		st := ir.STORE(ir.St, ir.R(2), 0, ir.R(5))
 		st.PC = 30
 		st.Spec = true
-		ev, err := m.exec(st, 0)
-		if err != nil || ev.signalled {
+		ev, err := m.exec1(st, 0)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		es := m.buf.Entries()
@@ -277,13 +289,13 @@ func TestTable2(t *testing.T) {
 	t.Run("confirm_reports_exception", func(t *testing.T) {
 		m, st := setup(false, false)
 		st.Spec = true
-		if _, err := m.exec(st, 0); err != nil {
+		if _, err := m.exec1(st, 0); err != nil {
 			t.Fatal(err)
 		}
 		cf := ir.CONFIRM(0)
 		cf.PC = 40
-		ev, err := m.exec(cf, 1)
-		if err != nil || !ev.signalled || ev.reportPC != 30 {
+		ev, err := m.exec1(cf, 1)
+		if err != nil || !ev.signalled() || ev.reportPC != 30 {
 			t.Fatalf("confirm ev=%+v err=%v, want signal pc 30", ev, err)
 		}
 		if m.buf.Len() != 0 {
@@ -293,9 +305,9 @@ func TestTable2(t *testing.T) {
 	t.Run("confirm_clean_entry", func(t *testing.T) {
 		m, st := setup(true, false)
 		st.Spec = true
-		m.exec(st, 0)
-		ev, err := m.exec(ir.CONFIRM(0), 1)
-		if err != nil || ev.signalled {
+		m.exec1(st, 0)
+		ev, err := m.exec1(ir.CONFIRM(0), 1)
+		if err != nil || ev.signalled() {
 			t.Fatalf("ev=%+v err=%v", ev, err)
 		}
 		if es := m.buf.Entries(); !es[0].Confirmed {

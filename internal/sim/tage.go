@@ -30,9 +30,14 @@ const (
 	tageMetaMin   = -8
 )
 
-// tageHistLens are the geometric global-history lengths of the tagged
-// tables, shortest first.
-var tageHistLens = [tageTables]int{5, 11, 22, 44}
+// The geometric global-history lengths of the tagged tables, shortest
+// first.
+const (
+	tageHist0 = 5
+	tageHist1 = 11
+	tageHist2 = 22
+	tageHist3 = 44
+)
 
 type tageEntry struct {
 	tag uint16
@@ -58,6 +63,11 @@ type tage struct {
 	hist    uint64 // global direction history, newest outcome in bit 0
 	updates int64  // dynamic branches seen, for useful-counter aging
 
+	// folds[i] holds table i's circular folded histories (Seznec & Michaud,
+	// JILP 2006): hist folded into the widths of tageFoldWidths, kept
+	// current on every outcome instead of re-folded on every lookup.
+	folds [tageTables][len(tageFoldWidths)]uint32
+
 	// Prediction context carried from Predict to the matching Update;
 	// recomputed defensively if the branch ids disagree.
 	pBid      int32
@@ -69,6 +79,11 @@ type tage struct {
 	pIdx      [tageTables]uint32
 	pTag      [tageTables]uint16
 }
+
+// tageFoldWidths are the fold widths each table's index and tag hash use:
+// the index width, the tag width, and the tag width less one (Update and
+// lookup spell them out in this order).
+var tageFoldWidths = [...]int{tageLogSize, tageTagBits, tageTagBits - 1}
 
 func newTAGE(ix *ProgIndex) *tage {
 	t := &tage{ix: ix, meta: make([]int8, ix.NumBranches())}
@@ -83,11 +98,14 @@ func (t *tage) Reset() {
 	}
 	t.hist = 0
 	t.updates = 0
+	t.folds = [tageTables][len(tageFoldWidths)]uint32{}
 	t.pBid = -1
 }
 
 // foldHist compresses the low histLen bits of h into bits bits by XOR
-// folding, the classic TAGE index/tag compression.
+// folding, the classic TAGE index/tag compression. The predictor keeps its
+// folds current with foldStep; foldHist is their definition (and the
+// tests' oracle).
 func foldHist(h uint64, histLen, bits int) uint32 {
 	h &= (uint64(1) << uint(histLen)) - 1
 	mask := (uint32(1) << uint(bits)) - 1
@@ -98,6 +116,18 @@ func foldHist(h uint64, histLen, bits int) uint32 {
 		histLen -= bits
 	}
 	return f
+}
+
+// foldStep advances f = foldHist(h, histLen, bits) to
+// foldHist(h<<1|in, histLen, bits) in O(1): shifting the history moves each
+// bit one fold position up, a rotate-left of f; the new outcome enters at
+// bit 0, and the bit leaving the histLen window (h's bit histLen-1, now at
+// fold position histLen mod bits) is cancelled.
+func foldStep(f uint32, h uint64, in uint32, histLen, bits uint) uint32 {
+	f = f<<1 | in
+	f ^= uint32(h>>(histLen-1)) & 1 << (histLen % bits)
+	f ^= f >> bits
+	return f & (1<<bits - 1)
 }
 
 // basePred is the base component: the static (backward-taken/forward-not-
@@ -112,11 +142,11 @@ func (t *tage) basePred(bid int32) bool { return t.ix.StaticPrediction(bid) }
 func (t *tage) lookup(bid int32) {
 	t.pBid = bid
 	t.pProvider, t.pAlt = -1, -1
+	ub := uint32(bid)
 	for i := 0; i < tageTables; i++ {
-		l := tageHistLens[i]
-		ub := uint32(bid)
-		t.pIdx[i] = (ub ^ ub>>tageLogSize ^ foldHist(t.hist, l, tageLogSize) ^ uint32(i)) & (tageSize - 1)
-		t.pTag[i] = uint16((ub ^ foldHist(t.hist, l, tageTagBits) ^ foldHist(t.hist, l, tageTagBits-1)<<1) & tageTagMask)
+		f := &t.folds[i]
+		t.pIdx[i] = (ub ^ ub>>tageLogSize ^ f[0] ^ uint32(i)) & (tageSize - 1)
+		t.pTag[i] = uint16((ub ^ f[1] ^ f[2]<<1) & tageTagMask)
 	}
 	for i := tageTables - 1; i >= 0; i-- {
 		if t.tables[i][t.pIdx[i]].tag == t.pTag[i] {
@@ -256,7 +286,22 @@ func (t *tage) Update(bid int32, taken bool) {
 		}
 	}
 
-	t.hist = t.hist<<1 | b2u(taken)
+	// Advance every folded history. Written out with constant lengths and
+	// widths, each foldStep inlines to a few fixed shifts.
+	h, in, f := t.hist, uint32(b2u(taken)), &t.folds
+	f[0][0] = foldStep(f[0][0], h, in, tageHist0, tageLogSize)
+	f[0][1] = foldStep(f[0][1], h, in, tageHist0, tageTagBits)
+	f[0][2] = foldStep(f[0][2], h, in, tageHist0, tageTagBits-1)
+	f[1][0] = foldStep(f[1][0], h, in, tageHist1, tageLogSize)
+	f[1][1] = foldStep(f[1][1], h, in, tageHist1, tageTagBits)
+	f[1][2] = foldStep(f[1][2], h, in, tageHist1, tageTagBits-1)
+	f[2][0] = foldStep(f[2][0], h, in, tageHist2, tageLogSize)
+	f[2][1] = foldStep(f[2][1], h, in, tageHist2, tageTagBits)
+	f[2][2] = foldStep(f[2][2], h, in, tageHist2, tageTagBits-1)
+	f[3][0] = foldStep(f[3][0], h, in, tageHist3, tageLogSize)
+	f[3][1] = foldStep(f[3][1], h, in, tageHist3, tageTagBits)
+	f[3][2] = foldStep(f[3][2], h, in, tageHist3, tageTagBits-1)
+	t.hist = h<<1 | uint64(in)
 	t.pBid = -1
 }
 

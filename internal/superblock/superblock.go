@@ -137,6 +137,23 @@ func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 		}
 		ftWant[head] = ft
 	}
+	// wantFallthrough is the label b must reach when it does not transfer
+	// control: for an ordinary block or duplicate, its original block's
+	// fall-through (mapped through duplication).
+	wantFallthrough := func(b *prog.Block) string {
+		if b.Superblock {
+			return ftWant[b.Label]
+		}
+		origLabel := b.Label
+		if o, isDup := dupOrigin(b.Label, dupLabel); isDup {
+			origLabel = o
+		}
+		want := fallthroughLabel(p, origLabel)
+		if d, ok := dupLabel[want]; ok {
+			want = d
+		}
+		return want
+	}
 
 	// Unroll self-loop superblocks. Must happen before fall-through
 	// patching so the terminal back edge is still the last instruction.
@@ -145,7 +162,14 @@ func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	// appended; other self-loops keep per-copy side exits. Both forms apply
 	// register expansion: iteration-local registers get a fresh name per
 	// copy so reuse does not serialize the unrolled iterations.
-	lv := dataflow.Compute(np)
+	//
+	// Liveness is computed over a view with every intended fall-through made
+	// explicit: absorbing trace blocks moved layout successors, and a block
+	// falling into a now-absorbed trace block (a cold path entering a join)
+	// would otherwise appear to flow into whatever block follows it, hiding
+	// the registers its real successor reads — and the compensation that the
+	// unrolled copies' side exits owe it.
+	lv := dataflow.Compute(withFallthroughs(np, wantFallthrough))
 	used := collectRegs(np)
 	var blocks []*prog.Block
 	for _, b := range np.Blocks {
@@ -167,28 +191,39 @@ func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	// layout successor, so any block whose intended fall-through no longer
 	// follows it gets an explicit jump.
 	for i, b := range np.Blocks {
-		var want string
-		if b.Superblock {
-			want = ftWant[b.Label]
-		} else {
-			origLabel := b.Label
-			if o, isDup := dupOrigin(b.Label, dupLabel); isDup {
-				origLabel = o
-			}
-			want = fallthroughLabel(p, origLabel)
-			if d, ok := dupLabel[want]; ok {
-				want = d
-			}
+		if want := missingFallthrough(np, i, wantFallthrough); want != "" {
+			b.Instrs = append(b.Instrs, ir.JMP(want))
 		}
-		if want == "" {
-			continue
-		}
-		if i+1 < len(np.Blocks) && np.Blocks[i+1].Label == want {
-			continue // layout already provides the fall-through
-		}
-		b.Instrs = append(b.Instrs, ir.JMP(want))
 	}
 	return np
+}
+
+// missingFallthrough returns the label block i must jump to because its
+// intended fall-through (want) no longer follows it in layout, or "".
+func missingFallthrough(p *prog.Program, i int, want func(*prog.Block) string) string {
+	w := want(p.Blocks[i])
+	if w == "" || (i+1 < len(p.Blocks) && p.Blocks[i+1].Label == w) {
+		return ""
+	}
+	return w
+}
+
+// withFallthroughs returns a shallow view of p in which every block whose
+// intended fall-through no longer follows it ends in an explicit jump, for
+// analyses that must see the control flow the patched program will have.
+// p itself is not modified.
+func withFallthroughs(p *prog.Program, want func(*prog.Block) string) *prog.Program {
+	v := &prog.Program{Entry: p.Entry, Blocks: make([]*prog.Block, len(p.Blocks))}
+	for i, b := range p.Blocks {
+		v.Blocks[i] = b
+		if w := missingFallthrough(p, i, want); w != "" {
+			c := *b
+			c.Instrs = append(b.Instrs[:len(b.Instrs):len(b.Instrs)], ir.JMP(w))
+			v.Blocks[i] = &c
+		}
+	}
+	v.Reindex()
+	return v
 }
 
 // selectTraces grows traces from hot seeds along likely edges.

@@ -3,7 +3,10 @@
 
 Compares a freshly measured BENCH_*.json against the committed baseline and
 fails (exit 1) when any benchmark's ns_per_op regressed by more than the
-threshold (default 20%). Improvements and alloc changes are reported but
+threshold (default 20%). ns_per_op is the median of the row's five
+samples (paperfigs -benchjson); where both files carry min_ns/max_ns,
+the table shows each side's spread beside the medians, so a reader can tell
+a shift from noise. Improvements and alloc changes are reported but
 never fail the gate: the allocation counts are pinned exactly by the JSON
 diff a reviewer sees, while wall-clock noise on shared CI runners needs the
 tolerance.
@@ -35,6 +38,14 @@ def load(path):
         return {r["name"]: r for r in json.load(f)}
 
 
+def spread(r):
+    """The row's sample range relative to its median, or '-' for a
+    single-sample (older) record."""
+    if "min_ns" not in r or not r["ns_per_op"]:
+        return "-"
+    return f"{(r['max_ns'] - r['min_ns']) / r['ns_per_op']:.0%}"
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
@@ -63,7 +74,8 @@ def main():
     cur = load(args.current)
     failed = []
 
-    print(f"{'benchmark':<28} {'base ns/op':>14} {'cur ns/op':>14} {'delta':>8}  allocs")
+    print(f"{'benchmark':<28} {'base ns/op':>14} {'cur ns/op':>14} {'delta':>8}  allocs"
+          f"  spread base / cur")
     for name, b in base.items():
         c = cur.get(name)
         if c is None:
@@ -88,7 +100,8 @@ def main():
                 f"({b['ns_per_op']:.0f} -> {c['ns_per_op']:.0f})")
             mark = "  << FAIL"
         print(f"{name:<28} {b['ns_per_op']:>14.0f} {c['ns_per_op']:>14.0f} "
-              f"{delta:>+7.1%}  {b['allocs_per_op']} -> {c['allocs_per_op']}{mark}")
+              f"{delta:>+7.1%}  {b['allocs_per_op']} -> {c['allocs_per_op']}"
+              f"  {spread(b)} / {spread(c)}{mark}")
 
     for name in cur:
         if name not in base:
