@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sentinel/internal/asm"
 	"sentinel/internal/core"
 	"sentinel/internal/fingerprint"
 	"sentinel/internal/fleet"
@@ -368,6 +369,10 @@ func benchFleetServe() ([]benchRecord, error) {
 	return recs, nil
 }
 
+// benchListing keeps the measured FormatScheduled call from being optimized
+// away.
+var benchListing string
+
 // benchSim measures sim.Run of each benchmark kernel scheduled for md, one
 // row per kernel named prefix/kernel. The index and, for a predicting
 // frontend, the predictor are built once outside the measured loop, as a
@@ -458,6 +463,24 @@ func writeBenchJSON(dir string) error {
 			return serr
 		}
 		schedRecs = append(schedRecs, rec)
+	}
+	{
+		// The listing a /v1/schedule response carries, of the largest
+		// kernel's schedule: one presized buffer and its string.
+		f, _, err := benchFormed("nasa7")
+		if err != nil {
+			return err
+		}
+		sched, _, err := core.Schedule(f, machine.Base(8, machine.SentinelStores))
+		if err != nil {
+			return err
+		}
+		schedRecs = append(schedRecs, measure("FormatScheduled/nasa7", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchListing = asm.FormatScheduled(sched)
+			}
+		}))
 	}
 
 	// The simulator inner loop on the kernels with the largest superblocks

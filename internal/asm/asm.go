@@ -333,22 +333,42 @@ func Format(p *prog.Program) string {
 }
 
 // FormatScheduled renders a scheduled program with cycle/slot annotations
-// (not parseable; for human inspection).
+// (not parseable; for human inspection). A scheduled instruction's line is
+// "  [%3d.%d] " then its text; an unscheduled one is indented to match.
 func FormatScheduled(p *prog.Program) string {
-	var sb strings.Builder
+	n := 0
 	for _, b := range p.Blocks {
-		fmt.Fprintf(&sb, "%s:", b.Label)
+		n += len(b.Instrs)
+	}
+	// Presized for typical lines so one buffer holds the whole listing.
+	buf := make([]byte, 0, 48*n+48*len(p.Blocks))
+	for _, b := range p.Blocks {
+		buf = append(buf, b.Label...)
+		buf = append(buf, ':')
 		if b.Superblock {
-			fmt.Fprintf(&sb, "  ; superblock, weight %d", b.WeightHint)
+			buf = append(buf, "  ; superblock, weight "...)
+			buf = strconv.AppendInt(buf, b.WeightHint, 10)
 		}
-		fmt.Fprintln(&sb)
+		buf = append(buf, '\n')
 		for _, in := range b.Instrs {
 			if in.Cycle >= 0 {
-				fmt.Fprintf(&sb, "  [%3d.%d] %v\n", in.Cycle, in.Slot, in)
+				buf = append(buf, "  ["...)
+				switch {
+				case in.Cycle < 10:
+					buf = append(buf, "  "...)
+				case in.Cycle < 100:
+					buf = append(buf, ' ')
+				}
+				buf = strconv.AppendInt(buf, int64(in.Cycle), 10)
+				buf = append(buf, '.')
+				buf = strconv.AppendInt(buf, int64(in.Slot), 10)
+				buf = append(buf, "] "...)
 			} else {
-				fmt.Fprintf(&sb, "          %v\n", in)
+				buf = append(buf, "          "...)
 			}
+			buf = in.AppendText(buf)
+			buf = append(buf, '\n')
 		}
 	}
-	return sb.String()
+	return string(buf)
 }

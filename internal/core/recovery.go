@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sentinel/internal/dataflow"
 	"sentinel/internal/ir"
 	"sentinel/internal/prog"
 )
@@ -22,7 +23,7 @@ import (
 //
 // It returns the number of instructions split.
 func splitSelfModifying(p *prog.Program, b *prog.Block) int {
-	used := usedRegs(p)
+	used := dataflow.UsedRegs(p)
 	split := 0
 	for i := 0; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
@@ -30,11 +31,10 @@ func splitSelfModifying(p *prog.Program, b *prog.Block) int {
 			continue
 		}
 		d, _ := in.Def()
-		tmp, ok := freeReg(used, d.Class)
+		tmp, ok := used.AllocFree(d.Class)
 		if !ok {
 			continue // no free register: the scheduler's deferral still protects
 		}
-		used[tmp] = true
 
 		in.Dest = tmp
 		end := homeEndIndex(b, i)
@@ -85,45 +85,4 @@ func renameUses(in *ir.Instr, from, to ir.Reg) {
 	if in.Src2 == from {
 		in.Src2 = to
 	}
-}
-
-// usedRegs collects every register mentioned anywhere in the program.
-func usedRegs(p *prog.Program) map[ir.Reg]bool {
-	used := map[ir.Reg]bool{}
-	for _, b := range p.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dest.Valid() {
-				used[in.Dest] = true
-			}
-			if in.Src1.Valid() {
-				used[in.Src1] = true
-			}
-			if in.Src2.Valid() {
-				used[in.Src2] = true
-			}
-		}
-	}
-	return used
-}
-
-// freeReg returns a physical register of the given class that the program
-// never mentions.
-func freeReg(used map[ir.Reg]bool, class ir.RegClass) (ir.Reg, bool) {
-	n := ir.NumIntRegs
-	mk := ir.R
-	if class == ir.FPClass {
-		n = ir.NumFPRegs
-		mk = ir.F
-	}
-	// r0 is hardwired zero; start at 1 for the integer file.
-	start := 0
-	if class == ir.IntClass {
-		start = 1
-	}
-	for i := start; i < n; i++ {
-		if r := mk(i); !used[r] {
-			return r, true
-		}
-	}
-	return ir.NoReg, false
 }

@@ -25,42 +25,7 @@ import (
 // scheduler. Exported for the differential tests in this package and in
 // internal/eval; production callers use Schedule.
 func ScheduleReference(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
-	var stats Stats
-	if err := md.Validate(); err != nil {
-		return nil, stats, err
-	}
-	p = p.Clone()
-
-	if md.Recovery {
-		for _, b := range p.Blocks {
-			if b.Superblock {
-				stats.Renamed += splitSelfModifying(p, b)
-			}
-		}
-	}
-
-	lv := dataflow.Compute(p)
-	if md.Model.UsesTags() {
-		stats.ClearTags += insertClearTags(p, lv)
-		lv = dataflow.Compute(p)
-	}
-	pv := alias.Analyze(p)
-
-	for _, b := range p.Blocks {
-		if len(b.Instrs) == 0 {
-			continue
-		}
-		s, err := refScheduleBlock(b, lv, pv, md)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: block %q: %w", b.Label, err)
-		}
-		stats.add(s)
-	}
-	p.Layout()
-	if err := p.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("core: scheduled program invalid: %w", err)
-	}
-	return p, stats, nil
+	return compile(p, md, refScheduleBlock)
 }
 
 type refScheduler struct {

@@ -74,9 +74,43 @@ func (s *Stats) add(o Stats) {
 // modified) with Cycle/Slot assigned on every instruction and sentinels
 // inserted as needed.
 func Schedule(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
+	return compile(p, md, scheduleBlock)
+}
+
+// blockScheduler list-schedules one block in place: scheduleBlock, or the
+// seed scheduler's refScheduleBlock.
+type blockScheduler func(*prog.Block, *dataflow.Liveness, *alias.Provenance, machine.Desc) (Stats, error)
+
+// compile runs the whole-program pipeline around a block scheduler.
+func compile(p *prog.Program, md machine.Desc, schedBlock blockScheduler) (*prog.Program, Stats, error) {
+	p, lv, pv, stats, err := prepare(p, md)
+	if err != nil {
+		return nil, stats, err
+	}
+	for _, b := range p.Blocks {
+		if len(b.Instrs) == 0 {
+			continue
+		}
+		s, err := schedBlock(b, lv, pv, md)
+		if err != nil {
+			return nil, stats, fmt.Errorf("core: block %q: %w", b.Label, err)
+		}
+		stats.add(s)
+	}
+	p.Layout()
+	if err := p.Validate(); err != nil {
+		return nil, stats, fmt.Errorf("core: scheduled program invalid: %w", err)
+	}
+	return p, stats, nil
+}
+
+// prepare validates md and returns the clone of p that block scheduling
+// works on — recovery renaming applied and exception-tag resets inserted —
+// with its liveness and pointer provenance.
+func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Liveness, *alias.Provenance, Stats, error) {
 	var stats Stats
 	if err := md.Validate(); err != nil {
-		return nil, stats, err
+		return nil, nil, nil, stats, err
 	}
 	p = p.Clone()
 
@@ -93,23 +127,7 @@ func Schedule(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
 		stats.ClearTags += insertClearTags(p, lv)
 		lv = dataflow.Compute(p) // ClearTags define registers
 	}
-	pv := alias.Analyze(p)
-
-	for _, b := range p.Blocks {
-		if len(b.Instrs) == 0 {
-			continue
-		}
-		s, err := scheduleBlock(b, lv, pv, md)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: block %q: %w", b.Label, err)
-		}
-		stats.add(s)
-	}
-	p.Layout()
-	if err := p.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("core: scheduled program invalid: %w", err)
-	}
-	return p, stats, nil
+	return p, lv, alias.Analyze(p), stats, nil
 }
 
 // insertClearTags prepends ClearTag instructions to the entry block for

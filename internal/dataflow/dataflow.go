@@ -9,6 +9,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"sentinel/internal/ir"
 	"sentinel/internal/prog"
 )
@@ -37,6 +39,9 @@ func (s RegSet) Has(r ir.Reg) bool {
 // Union returns s ∪ t.
 func (s RegSet) Union(t RegSet) RegSet { return RegSet{s[0] | t[0], s[1] | t[1]} }
 
+// Intersect returns s ∩ t.
+func (s RegSet) Intersect(t RegSet) RegSet { return RegSet{s[0] & t[0], s[1] & t[1]} }
+
 // Diff returns s \ t.
 func (s RegSet) Diff(t RegSet) RegSet { return RegSet{s[0] &^ t[0], s[1] &^ t[1]} }
 
@@ -60,6 +65,39 @@ func (s RegSet) Regs() []ir.Reg {
 		}
 	}
 	return out
+}
+
+// AllocFree adds to s the lowest-numbered register of class that s does not
+// hold, never r0 (the hardwired zero), and returns it; ok is false when
+// every register of the class is in s. Each class fills one word of the set
+// (NumIntRegs == NumFPRegs == 64).
+func (s *RegSet) AllocFree(class ir.RegClass) (r ir.Reg, ok bool) {
+	w, mk, free := 0, ir.R, ^s[0]&^1
+	if class == ir.FPClass {
+		w, mk, free = 1, ir.F, ^s[1]
+	}
+	if free == 0 {
+		return ir.NoReg, false
+	}
+	n := bits.TrailingZeros64(free)
+	s[w] |= 1 << n
+	return mk(n), true
+}
+
+// UsedRegs returns every register p's instructions name as an operand or
+// destination, r0 included.
+func UsedRegs(p *prog.Program) RegSet {
+	var used RegSet
+	for _, b := range p.Blocks {
+		for _, in := range b.Instrs {
+			for _, r := range [3]ir.Reg{in.Dest, in.Src1, in.Src2} {
+				if r.Valid() {
+					used.Add(r)
+				}
+			}
+		}
+	}
+	return used
 }
 
 // Liveness holds per-block live-in/out sets.

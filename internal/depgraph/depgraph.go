@@ -53,7 +53,10 @@ func (k Kind) String() string { return kindNames[k] }
 type Edge struct {
 	From, To *Node
 	Kind     Kind
-	Delay    int
+	// dropped marks a control edge Reduce removed, so each Out list is
+	// compacted in one pass afterwards.
+	dropped bool
+	Delay   int
 }
 
 // Node wraps one instruction of the superblock.
@@ -106,8 +109,11 @@ type Graph struct {
 	inBack, outBack []*Edge
 	// branchPrefix[i] counts conditional branches at original indices < i.
 	branchPrefix []int32
+	// takenLive[k] is the set of registers live when the k-th conditional
+	// branch (the one at original index i with branchPrefix[i] == k) is
+	// taken, looked up once during Build.
+	takenLive []dataflow.RegSet
 
-	lv      *dataflow.Liveness
 	pv      *alias.Provenance
 	reduced bool
 	// RemovedControl counts control dependences removed by reduction
@@ -128,7 +134,7 @@ type edgeRec struct {
 // program containing b; pv supplies pointer provenance for memory
 // disambiguation and may be nil (fully conservative aliasing).
 func Build(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance) *Graph {
-	g := &Graph{Block: b, lv: lv, pv: pv}
+	g := &Graph{Block: b, pv: pv}
 	n := len(b.Instrs)
 	g.arena = make([]Node, n, 2*n)
 	g.Nodes = make([]*Node, n)
@@ -144,7 +150,10 @@ func Build(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance) *Graph {
 			g.branchPrefix[i+1]++
 		}
 	}
-	bd := &builder{g: g}
+	if nb := g.branchPrefix[n]; nb > 0 {
+		g.takenLive = make([]dataflow.RegSet, nb)
+	}
+	bd := &builder{g: g, lv: lv}
 	bd.initSlots()
 	bd.registerDeps()
 	bd.memoryDeps()
@@ -181,6 +190,7 @@ func (g *Graph) homeBlocks() {
 // virtual registers (legal in unallocated input) get slots above that.
 type builder struct {
 	g    *Graph
+	lv   *dataflow.Liveness
 	recs []edgeRec
 	virt map[ir.Reg]int32
 	nSlt int
@@ -362,7 +372,10 @@ func (bd *builder) controlDeps() {
 		// lost), and producers of values live on the taken path. Nothing
 		// may sink past an unconditional exit (Jmp/Halt): it could never
 		// execute, and blocks must stay well-formed.
-		live := g.lv.LiveAtTaken(g.Block, ci)
+		live := bd.lv.LiveAtTaken(g.Block, ci)
+		if ir.IsBranch(c.Instr.Op) {
+			g.takenLive[g.branchPrefix[ci]] = live
+		}
 		uncond := c.Instr.Op == ir.Jmp || c.Instr.Op == ir.Halt
 		for i := 0; i < ci; i++ {
 			nd := g.Nodes[i]
@@ -403,8 +416,8 @@ func (bd *builder) finalize() {
 	g.outBack = make([]*Edge, ne)
 	inOff, outOff := 0, 0
 	for i, nd := range g.Nodes {
-		nd.In = g.inBack[inOff:inOff : inOff+int(inCnt[i])]
-		nd.Out = g.outBack[outOff:outOff : outOff+int(outCnt[i])]
+		nd.In = g.inBack[inOff : inOff : inOff+int(inCnt[i])]
+		nd.Out = g.outBack[outOff : outOff : outOff+int(outCnt[i])]
 		inOff += int(inCnt[i])
 		outOff += int(outCnt[i])
 	}
@@ -445,6 +458,10 @@ func (g *Graph) newNode(tpl Node) *Node {
 // algorithm): it removes control dependences BR -> I when the model allows I
 // to be speculative and dest(I) is not live when BR is taken, and it marks
 // unprotected instructions. Reduce may be called once per graph.
+//
+// It is O(E): each node's In list is filtered in place, the removed edges
+// are marked, and every branch's Out list is then compacted once, keeping
+// the surviving edges in order.
 func (g *Graph) Reduce(md machine.Desc) {
 	if g.reduced {
 		panic("depgraph: Reduce called twice")
@@ -454,42 +471,56 @@ func (g *Graph) Reduce(md machine.Desc) {
 		g.markUnprotected(md)
 	}
 
+	removed := 0
 	for _, nd := range g.Nodes {
 		in := nd.Instr
 		if !md.AllowSpeculative(in.Op) {
 			continue
 		}
-		var keep []*Edge
+		d, hasDest := in.Def()
+		keep := nd.In[:0]
 		for _, e := range nd.In {
 			if e.Kind == Control && e.From.Index < nd.Index && ir.IsBranch(e.From.Instr.Op) {
+				var drop bool
 				if md.Model == machine.Boosting {
 					// Boosting enforces NEITHER restriction (§2.3): the
 					// shadow register file holds the result until the
 					// crossed branches commit, so even a live destination
 					// may be boosted — but only above at most BoostLevels
 					// branches (shadow storage is finite).
-					if g.branchesBetween(e.From.Index, nd.Index) <= md.BoostLevels {
-						g.RemovedControl++
-						e.From.Out = removeEdge(e.From.Out, e)
-						continue
-					}
-					keep = append(keep, e)
-					continue
+					drop = g.branchesBetween(e.From.Index, nd.Index) <= md.BoostLevels
+				} else {
+					// Restriction (1): dest(I) must not be used before being
+					// redefined when BR is taken. Stores have no destination:
+					// restriction (1) holds trivially and §4.2 removes the
+					// dependence outright (memory edges still apply).
+					drop = !hasDest || !g.takenLive[g.branchPrefix[e.From.Index]].Has(d)
 				}
-				// Restriction (1): dest(I) must not be used before being
-				// redefined when BR is taken. Stores have no destination:
-				// restriction (1) holds trivially and §4.2 removes the
-				// dependence outright (memory edges still apply).
-				d, hasDest := in.Def()
-				if !hasDest || !g.lv.LiveAtTaken(g.Block, e.From.Index).Has(d) {
-					g.RemovedControl++
-					e.From.Out = removeEdge(e.From.Out, e)
+				if drop {
+					e.dropped = true
+					removed++
 					continue
 				}
 			}
 			keep = append(keep, e)
 		}
 		nd.In = keep
+	}
+	g.RemovedControl += removed
+	if removed == 0 {
+		return
+	}
+	for _, nd := range g.Nodes {
+		if !ir.IsBranch(nd.Instr.Op) {
+			continue
+		}
+		keep := nd.Out[:0]
+		for _, e := range nd.Out {
+			if !e.dropped {
+				keep = append(keep, e)
+			}
+		}
+		nd.Out = keep
 	}
 }
 
@@ -507,15 +538,6 @@ func (g *Graph) branchesBetween(from, to int) int {
 		return 0
 	}
 	return int(g.branchPrefix[to] - g.branchPrefix[from])
-}
-
-func removeEdge(edges []*Edge, e *Edge) []*Edge {
-	for i, x := range edges {
-		if x == e {
-			return append(edges[:i], edges[i+1:]...)
-		}
-	}
-	return edges
 }
 
 // markUnprotected implements the protected/unprotected classification of the

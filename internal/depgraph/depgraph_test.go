@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"slices"
 	"testing"
 
 	"sentinel/internal/alias"
@@ -385,6 +386,38 @@ func TestNodeIDsAreStable(t *testing.T) {
 	for i, nd := range g.Nodes {
 		if nd.ID != i {
 			t.Errorf("g.Nodes[%d].ID = %d after insertion", i, nd.ID)
+		}
+	}
+}
+
+// TestReducedListsStayDisjoint pins the capacity-clamped sub-slice invariant
+// through Reduce, which filters In and Out lists in place: appending to any
+// node's reduced list (as sentinel insertion and AddAnti do) must leave
+// every other node's lists untouched.
+func TestReducedListsStayDisjoint(t *testing.T) {
+	for _, model := range []machine.Model{machine.Sentinel, machine.SentinelStores, machine.Boosting} {
+		g, _ := build(t, machine.Base(8, model))
+		snapshot := func() [][2][]*Edge {
+			s := make([][2][]*Edge, len(g.Nodes))
+			for i, nd := range g.Nodes {
+				s[i] = [2][]*Edge{append([]*Edge(nil), nd.In...), append([]*Edge(nil), nd.Out...)}
+			}
+			return s
+		}
+		for i, nd := range g.Nodes {
+			before := snapshot()
+			extra := &Edge{From: nd, To: nd, Kind: Anti}
+			nd.In = append(nd.In, extra)
+			nd.Out = append(nd.Out, extra)
+			for j, other := range g.Nodes {
+				if j == i {
+					continue
+				}
+				if !slices.Equal(other.In, before[j][0]) || !slices.Equal(other.Out, before[j][1]) {
+					t.Fatalf("%v: appending to node %d's lists changed node %d's", model, i, j)
+				}
+			}
+			nd.In, nd.Out = before[i][0], before[i][1]
 		}
 	}
 }

@@ -7,7 +7,10 @@
 // and all floating-point instructions).
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // RegClass distinguishes the two architectural register files.
 type RegClass uint8
@@ -57,20 +60,25 @@ func (r Reg) Valid() bool { return r.valid }
 // IsZero reports whether r is the hardwired-zero integer register r0.
 func (r Reg) IsZero() bool { return r.valid && !r.Virtual && r.Class == IntClass && r.N == 0 }
 
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.AppendText(nil)) }
+
+// AppendText appends r's assembly name (r3, f7, v1, vf2, or "-" for NoReg)
+// to dst and returns the extended buffer.
+func (r Reg) AppendText(dst []byte) []byte {
 	if !r.valid {
-		return "-"
+		return append(dst, '-')
 	}
 	switch {
 	case r.Virtual && r.Class == IntClass:
-		return fmt.Sprintf("v%d", r.N)
+		dst = append(dst, 'v')
 	case r.Virtual:
-		return fmt.Sprintf("vf%d", r.N)
+		dst = append(dst, "vf"...)
 	case r.Class == IntClass:
-		return fmt.Sprintf("r%d", r.N)
+		dst = append(dst, 'r')
 	default:
-		return fmt.Sprintf("f%d", r.N)
+		dst = append(dst, 'f')
 	}
+	return strconv.AppendInt(dst, int64(r.N), 10)
 }
 
 // Index returns a dense index for physical registers: integer registers map
@@ -426,46 +434,91 @@ func (i *Instr) SelfModifying() bool {
 	return false
 }
 
-func (i *Instr) String() string {
-	s := i.format()
-	if i.Spec {
-		s += " <spec>"
+func (i *Instr) String() string { return string(i.AppendText(nil)) }
+
+// AppendText appends i's assembly text — the syntax asm.ParseInstr reads,
+// with " <spec>" after a speculative instruction — to dst and returns the
+// extended buffer. It is the one implementation of instruction text: String,
+// program listings and scheduled listings all go through it.
+func (i *Instr) AppendText(dst []byte) []byte {
+	op := i.Op
+	switch {
+	case op == Nop || op == Halt:
+		dst = append(dst, op.String()...)
+	case op == Li:
+		dst = append(dst, "li "...)
+		dst = i.Dest.AppendText(dst)
+		dst = append(dst, ", "...)
+		dst = strconv.AppendInt(dst, i.Imm, 10)
+	case op == Mov || op == Fmov || op == Fneg || op == Fabs || op == Cvif || op == Cvfi:
+		dst = appendOp(dst, op)
+		dst = i.Dest.AppendText(dst)
+		dst = append(dst, ", "...)
+		dst = i.Src1.AppendText(dst)
+	case IsLoad(op):
+		dst = appendOp(dst, op)
+		dst = i.Dest.AppendText(dst)
+		dst = appendMemOperand(dst, i.Imm, i.Src1)
+	case IsStore(op):
+		dst = appendOp(dst, op)
+		dst = i.Src2.AppendText(dst)
+		dst = appendMemOperand(dst, i.Imm, i.Src1)
+	case IsBranch(op):
+		dst = appendOp(dst, op)
+		dst = i.Src1.AppendText(dst)
+		dst = i.appendSecond(dst)
+		dst = append(dst, ", "...)
+		dst = append(dst, i.Target...)
+	case op == Jmp:
+		dst = append(dst, "jmp "...)
+		dst = append(dst, i.Target...)
+	case op == Jsr:
+		dst = append(dst, "jsr "...)
+		dst = append(dst, i.Target...)
+		dst = append(dst, ", "...)
+		dst = i.Src1.AppendText(dst)
+	case op == Check:
+		dst = append(dst, "check "...)
+		dst = i.Src1.AppendText(dst)
+	case op == ConfirmSt:
+		dst = append(dst, "confirm_st "...)
+		dst = strconv.AppendInt(dst, i.Imm, 10)
+	case op == ClearTag:
+		dst = append(dst, "cleartag "...)
+		dst = i.Dest.AppendText(dst)
+	default:
+		dst = appendOp(dst, op)
+		dst = i.Dest.AppendText(dst)
+		dst = append(dst, ", "...)
+		dst = i.Src1.AppendText(dst)
+		dst = i.appendSecond(dst)
 	}
-	return s
+	if i.Spec {
+		dst = append(dst, " <spec>"...)
+	}
+	return dst
 }
 
-func (i *Instr) format() string {
-	switch {
-	case i.Op == Nop || i.Op == Halt:
-		return i.Op.String()
-	case i.Op == Li:
-		return fmt.Sprintf("li %s, %d", i.Dest, i.Imm)
-	case i.Op == Mov || i.Op == Fmov || i.Op == Fneg || i.Op == Fabs ||
-		i.Op == Cvif || i.Op == Cvfi:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Dest, i.Src1)
-	case IsLoad(i.Op):
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Dest, i.Imm, i.Src1)
-	case IsStore(i.Op):
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, i.Src2, i.Imm, i.Src1)
-	case IsBranch(i.Op):
-		if i.Src2.Valid() {
-			return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Src1, i.Src2, i.Target)
-		}
-		return fmt.Sprintf("%s %s, %d, %s", i.Op, i.Src1, i.Imm, i.Target)
-	case i.Op == Jmp:
-		return fmt.Sprintf("jmp %s", i.Target)
-	case i.Op == Jsr:
-		return fmt.Sprintf("jsr %s, %s", i.Target, i.Src1)
-	case i.Op == Check:
-		return fmt.Sprintf("check %s", i.Src1)
-	case i.Op == ConfirmSt:
-		return fmt.Sprintf("confirm_st %d", i.Imm)
-	case i.Op == ClearTag:
-		return fmt.Sprintf("cleartag %s", i.Dest)
-	default:
-		if i.Src2.Valid() {
-			return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Dest, i.Src1, i.Src2)
-		}
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Dest, i.Src1, i.Imm)
+// appendOp appends op's mnemonic and the space before its first operand.
+func appendOp(dst []byte, op Op) []byte {
+	return append(append(dst, op.String()...), ' ')
+}
+
+// appendMemOperand appends ", off(base)".
+func appendMemOperand(dst []byte, off int64, base Reg) []byte {
+	dst = append(dst, ", "...)
+	dst = strconv.AppendInt(dst, off, 10)
+	dst = append(dst, '(')
+	dst = base.AppendText(dst)
+	return append(dst, ')')
+}
+
+// appendSecond appends ", " and the second source: Src2 when valid,
+// otherwise the immediate.
+func (i *Instr) appendSecond(dst []byte) []byte {
+	dst = append(dst, ", "...)
+	if i.Src2.Valid() {
+		return i.Src2.AppendText(dst)
 	}
+	return strconv.AppendInt(dst, i.Imm, 10)
 }

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"sentinel/internal/obs"
 	"sentinel/internal/workload"
@@ -231,6 +232,31 @@ func TestBatchPartialFailure(t *testing.T) {
 	if !bytes.Equal(fault.payload, singleBody) {
 		t.Errorf("faulted element payload differs from single endpoint\nbatch:  %s\nsingle: %s",
 			fault.payload, singleBody)
+	}
+}
+
+// TestBatchVirtualRegisterElements: two elements whose inline source names
+// a virtual register each fail alone with the single endpoint's 422, and
+// the repeated batch answers the same from the source cache.
+func TestBatchVirtualRegisterElements(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, RequestTimeout: 2 * time.Second})
+	req, err := json.Marshal(map[string]any{"source": virtualSource, "model": "sentinel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []testBatchItem{{Op: "schedule", Request: req}, {Op: "simulate", Request: req}}
+	for i := 0; i < 2; i++ {
+		resp, body := postBatch(t, ts.URL, items)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d, want a 200 frame: %s", i, resp.StatusCode, body)
+		}
+		frames := parseBatchStream(t, body)
+		if len(frames) != len(items) {
+			t.Fatalf("batch %d: %d elements, want %d", i, len(frames), len(items))
+		}
+		for j, fr := range frames {
+			checkAssemblyError(t, fmt.Sprintf("batch %d element %d", i, j), fr.status, fr.payload)
+		}
 	}
 }
 

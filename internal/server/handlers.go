@@ -121,6 +121,9 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 	rd := obs.RecordFrom(ctx)
 	rd.Start(obs.StageCompile, obs.ArgSources)
 	p, m, err := asm.Parse(src)
+	if err == nil {
+		err = p.CheckPhysical()
+	}
 	if err != nil {
 		rd.End()
 		return nil, apiErrorf(http.StatusUnprocessableEntity, KindAssemblyError, "%v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -183,6 +184,49 @@ func TestScheduleAssemblyError(t *testing.T) {
 	ae := decodeError(t, body)
 	if ae.Kind != KindAssemblyError {
 		t.Errorf("kind = %q, want %q", ae.Kind, KindAssemblyError)
+	}
+}
+
+// virtualSource assembles (asm accepts the register allocator's virtual
+// registers) but names registers no machine has.
+const virtualSource = `
+entry:
+    li   v1, 7
+    cvif vf2, v1
+    jsr  putint, v1
+    halt
+`
+
+// checkAssemblyError asserts a 422 assembly_error envelope.
+func checkAssemblyError(t *testing.T, what string, status int, body []byte) {
+	t.Helper()
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("%s: status %d, want 422: %s", what, status, body)
+	}
+	if ae := decodeError(t, body); ae.Kind != KindAssemblyError {
+		t.Fatalf("%s: kind = %q, want %q", what, ae.Kind, KindAssemblyError)
+	}
+}
+
+// TestVirtualRegisterIsAssemblyError: inline source naming a virtual
+// register is refused with a 422 before any compile stage indexes a
+// register file. The repeat must answer the same 422 from the source cache,
+// not wait out its deadline behind an entry a crashed compile never
+// completed; the short timeout keeps such a regression from stalling.
+func TestVirtualRegisterIsAssemblyError(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 2 * time.Second})
+	for _, c := range []struct {
+		ep  string
+		req map[string]any
+	}{
+		{"/v1/schedule", map[string]any{"source": virtualSource, "model": "sentinel"}},
+		{"/v1/schedule", map[string]any{"source": virtualSource, "model": "sentinel", "superblock": false}},
+		{"/v1/simulate", map[string]any{"source": virtualSource, "model": "sentinel"}},
+	} {
+		for i := 0; i < 2; i++ {
+			resp, body := postJSON(t, ts.URL+c.ep, c.req)
+			checkAssemblyError(t, fmt.Sprintf("%s %v try %d", c.ep, c.req, i), resp.StatusCode, body)
+		}
 	}
 }
 

@@ -170,18 +170,18 @@ func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	// the registers its real successor reads — and the compensation that the
 	// unrolled copies' side exits owe it.
 	lv := dataflow.Compute(withFallthroughs(np, wantFallthrough))
-	used := collectRegs(np)
+	used := dataflow.UsedRegs(np)
 	var blocks []*prog.Block
 	for _, b := range np.Blocks {
 		if !b.Superblock {
 			blocks = append(blocks, b)
 			continue
 		}
-		if main, rem, ok := unrollCounted(b, opts, lv, used); ok {
+		if main, rem, ok := unrollCounted(b, opts, lv, &used); ok {
 			blocks = append(blocks, main, rem)
 			continue
 		}
-		blocks = append(blocks, unroll(b, ftWant[b.Label], opts, lv, used)...)
+		blocks = append(blocks, unroll(b, ftWant[b.Label], opts, lv, &used)...)
 	}
 	np.Blocks = blocks
 	np.Reindex()
@@ -417,7 +417,7 @@ func dupOrigin(label string, dupLabel map[string]string) (string, bool) {
 // unrolled iterations; the architectural values expected by exit paths are
 // restored by per-exit compensation stubs, keeping the hot path free of
 // maintenance moves (the superblock compensation-code technique).
-func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Liveness, used map[ir.Reg]bool) []*prog.Block {
+func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) []*prog.Block {
 	if opts.Unroll <= 1 || len(sb.Instrs) == 0 {
 		return []*prog.Block{sb}
 	}
@@ -483,7 +483,7 @@ func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Livenes
 //	L.rem:  bge rI, N, exit
 //	        body
 //	        jmp L.rem
-func unrollCounted(sb *prog.Block, opts Options, lv *dataflow.Liveness, used map[ir.Reg]bool) (main, rem *prog.Block, ok bool) {
+func unrollCounted(sb *prog.Block, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) (main, rem *prog.Block, ok bool) {
 	if opts.Unroll <= 1 || len(sb.Instrs) < 3 {
 		return nil, nil, false
 	}
@@ -595,7 +595,7 @@ func (r *renameRec) nameAt(k, i int) ir.Reg {
 // the back edge, and side exits are repaired by compensation stubs built
 // from the returned records. Pure accumulators (used by nothing but their
 // own increment) are left alone: expansion could only cost slots.
-func expandInductions(copies [][]*ir.Instr, used map[ir.Reg]bool) []renameRec {
+func expandInductions(copies [][]*ir.Instr, used *dataflow.RegSet) []renameRec {
 	if len(copies) < 2 {
 		return nil
 	}
@@ -637,7 +637,7 @@ func expandInductions(copies [][]*ir.Instr, used map[ir.Reg]bool) []renameRec {
 		names[0] = r
 		ok := true
 		for k := 1; k <= len(copies); k++ {
-			if names[k], ok = allocReg(used, r.Class); !ok {
+			if names[k], ok = used.AllocFree(r.Class); !ok {
 				break
 			}
 		}
@@ -710,47 +710,36 @@ func sortRegs(regs []ir.Reg) {
 // paths expect under the original name are restored by compensation stubs
 // built from the returned records (registers needed by no exit return no
 // record).
-func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used map[ir.Reg]bool) []renameRec {
+func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used *dataflow.RegSet) []renameRec {
 	if len(copies) < 2 {
 		return nil
 	}
 	proto := copies[0]
-	firstIsDef := map[ir.Reg]bool{}
+	// firstIsDef collects the registers whose first reference is a
+	// definition in every copy.
+	var firstIsDef dataflow.RegSet
 	for ci, c := range copies {
-		seen := map[ir.Reg]bool{}
-		local := map[ir.Reg]bool{}
+		var seen, local dataflow.RegSet
 		for _, in := range c {
 			for _, u := range in.Uses() {
-				if !seen[u] {
-					seen[u] = true
-					local[u] = false
-				}
+				seen.Add(u)
 			}
-			if d, def := in.Def(); def && !seen[d] {
-				seen[d] = true
-				local[d] = true
+			if d, def := in.Def(); def && !seen.Has(d) {
+				seen.Add(d)
+				local.Add(d)
 			}
 		}
 		if ci == 0 {
 			firstIsDef = local
-			continue
-		}
-		for r, isDef := range firstIsDef {
-			if !isDef {
-				continue
-			}
-			if ld, ok := local[r]; !ok || !ld {
-				firstIsDef[r] = false
-			}
+		} else {
+			firstIsDef = firstIsDef.Intersect(local)
 		}
 	}
 	loopIn := lv.In[head]
 	var cands []ir.Reg
-	neededByExit := map[ir.Reg]bool{}
-	for r, isDef := range firstIsDef {
-		if !isDef || loopIn.Has(r) {
-			continue
-		}
+	var neededByExit dataflow.RegSet
+	// Regs enumerates by class, then number: cands comes out sorted.
+	for _, r := range firstIsDef.Diff(loopIn).Regs() {
 		defs := 0
 		for _, in := range proto {
 			if d, def := in.Def(); def && d == r {
@@ -768,16 +757,17 @@ func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used
 			// Compensation is only well-defined for a single definition.
 			continue
 		}
-		neededByExit[r] = liveAtExit
+		if liveAtExit {
+			neededByExit.Add(r)
+		}
 		cands = append(cands, r)
 	}
-	sortRegs(cands)
 	var recs []renameRec
 	for _, r := range cands {
 		rec := renameRec{arch: r, names: make([]ir.Reg, len(copies)), pos: make([]int, len(copies))}
 		ok := true
 		for k := range copies {
-			if rec.names[k], ok = allocReg(used, r.Class); !ok {
+			if rec.names[k], ok = used.AllocFree(r.Class); !ok {
 				return recs // register file exhausted
 			}
 		}
@@ -798,7 +788,7 @@ func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used
 				}
 			}
 		}
-		if neededByExit[r] {
+		if neededByExit.Has(r) {
 			recs = append(recs, rec)
 		}
 	}
@@ -882,34 +872,4 @@ func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitLabel str
 	out = append(out, movs...)
 	out = append(out, term)
 	copies[len(copies)-1] = out
-}
-
-// collectRegs returns every register referenced by the program.
-func collectRegs(p *prog.Program) map[ir.Reg]bool {
-	used := map[ir.Reg]bool{}
-	for _, b := range p.Blocks {
-		for _, in := range b.Instrs {
-			for _, r := range []ir.Reg{in.Dest, in.Src1, in.Src2} {
-				if r.Valid() {
-					used[r] = true
-				}
-			}
-		}
-	}
-	return used
-}
-
-// allocReg returns an unused physical register of the class.
-func allocReg(used map[ir.Reg]bool, class ir.RegClass) (ir.Reg, bool) {
-	n, mk, start := ir.NumIntRegs, ir.R, 1 // r0 is hardwired zero
-	if class == ir.FPClass {
-		n, mk, start = ir.NumFPRegs, ir.F, 0
-	}
-	for i := start; i < n; i++ {
-		if r := mk(i); !used[r] {
-			used[r] = true
-			return r, true
-		}
-	}
-	return ir.NoReg, false
 }

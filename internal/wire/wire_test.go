@@ -132,7 +132,7 @@ func TestPayloadLimitRejectedBeforeAllocation(t *testing.T) {
 	// A frame claiming a huge payload it never sends must be refused by the
 	// limit check, not by an allocation attempt.
 	d := appendUvarint(appendUvarint(appendHeader(nil, KindRequest), 0), 1) // timeout, count
-	d = appendUvarint(d, 1)                                                // tag
+	d = appendUvarint(d, 1)                                                 // tag
 	d = append(d, OpSimulate)
 	d = appendUvarint(d, maxVarint) // declared payload length, no bytes follow
 	_, err := ReadRequest(reader(d), Limits{MaxPayload: 1 << 16})
