@@ -41,10 +41,15 @@ const (
 	unknown
 )
 
-// Provenance holds the per-register analysis result.
+// numRegs is the number of physical register slots (ir.Reg.Index).
+const numRegs = ir.NumIntRegs + ir.NumFPRegs
+
+// Provenance holds the per-register analysis result in two dense tables
+// indexed by physical register slot. Only physical registers are accepted:
+// Index panics on a virtual one.
 type Provenance struct {
-	st   map[ir.Reg]state
-	root map[ir.Reg]int64
+	st   [numRegs]state
+	root [numRegs]int64
 }
 
 // Analyze computes register provenance for the whole program by iterating
@@ -52,7 +57,7 @@ type Provenance struct {
 // (one fact per register), which is sound: any conflicting definition
 // degrades to unknown.
 func Analyze(p *prog.Program) *Provenance {
-	pv := &Provenance{st: map[ir.Reg]state{}, root: map[ir.Reg]int64{}}
+	pv := &Provenance{}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range p.Blocks {
@@ -64,6 +69,14 @@ func Analyze(p *prog.Program) *Provenance {
 		}
 	}
 	return pv
+}
+
+// stateOf returns r's analysis state; an absent operand is unset.
+func (pv *Provenance) stateOf(r ir.Reg) state {
+	if !r.Valid() {
+		return unset
+	}
+	return pv.st[r.Index()]
 }
 
 func (pv *Provenance) transfer(in *ir.Instr) bool {
@@ -81,7 +94,7 @@ func (pv *Provenance) transfer(in *ir.Instr) bool {
 		// base + index: when exactly one operand has a known root, the
 		// other is the scaled index (the a[i] pattern). Two known roots
 		// would mean adding two pointers — degrade to unknown.
-		a, b := pv.st[in.Src1], pv.st[in.Src2]
+		a, b := pv.stateOf(in.Src1), pv.stateOf(in.Src2)
 		switch {
 		case a == rooted && b == unknown || in.Src2.IsZero():
 			return pv.joinFrom(d, in.Src1)
@@ -98,14 +111,15 @@ func (pv *Provenance) transfer(in *ir.Instr) bool {
 }
 
 func (pv *Provenance) joinRoot(d ir.Reg, id int64) bool {
-	switch pv.st[d] {
+	i := d.Index()
+	switch pv.st[i] {
 	case unset:
-		pv.st[d] = rooted
-		pv.root[d] = id
+		pv.st[i] = rooted
+		pv.root[i] = id
 		return true
 	case rooted:
-		if pv.root[d] != id {
-			pv.st[d] = unknown
+		if pv.root[i] != id {
+			pv.st[i] = unknown
 			return true
 		}
 	}
@@ -116,19 +130,20 @@ func (pv *Provenance) joinFrom(d, s ir.Reg) bool {
 	if s.IsZero() {
 		return pv.joinRoot(d, 0)
 	}
-	switch pv.st[s] {
+	switch pv.stateOf(s) {
 	case unset:
 		return false // nothing known about the source yet
 	case rooted:
-		return pv.joinRoot(d, pv.root[s])
+		return pv.joinRoot(d, pv.root[s.Index()])
 	default:
 		return pv.joinUnknown(d)
 	}
 }
 
 func (pv *Provenance) joinUnknown(d ir.Reg) bool {
-	if pv.st[d] != unknown {
-		pv.st[d] = unknown
+	i := d.Index()
+	if pv.st[i] != unknown {
+		pv.st[i] = unknown
 		return true
 	}
 	return false
@@ -136,8 +151,8 @@ func (pv *Provenance) joinUnknown(d ir.Reg) bool {
 
 // Of returns the provenance of a register.
 func (pv *Provenance) Of(r ir.Reg) Root {
-	if pv.st[r] == rooted {
-		return Root{Known: true, ID: pv.root[r]}
+	if pv.stateOf(r) == rooted {
+		return Root{Known: true, ID: pv.root[r.Index()]}
 	}
 	return Root{}
 }

@@ -9,8 +9,6 @@ import (
 	"sentinel/internal/ir"
 	"sentinel/internal/machine"
 	"sentinel/internal/prog"
-	"sentinel/internal/superblock"
-	"sentinel/internal/workload"
 )
 
 // reduceReference is depgraph's Reduce as it was written before the
@@ -92,15 +90,7 @@ func sameEdges(got, want []*depgraph.Edge) error {
 // with and without recovery.
 func TestReduceMatchesReference(t *testing.T) {
 	removed := 0
-	for _, w := range workload.All() {
-		p, m := w.Build()
-		p.Layout()
-		ref, err := prog.Run(p, m, prog.Options{Collect: true})
-		if err != nil {
-			t.Fatalf("%s: profile: %v", w.Name, err)
-		}
-		f := superblock.Form(p, ref.Profile, superblock.Options{})
-		f.Layout()
+	for _, k := range formKernels(t) {
 		for _, width := range []int{2, 4, 8} {
 			for _, model := range []machine.Model{machine.Restricted, machine.General,
 				machine.Sentinel, machine.SentinelStores, machine.Boosting} {
@@ -108,7 +98,7 @@ func TestReduceMatchesReference(t *testing.T) {
 					if md.Validate() != nil {
 						continue // recovery does not apply to boosting
 					}
-					q, lv, pv, _, err := prepare(f, md)
+					q, lv, pv, _, err := prepare(k.f, md)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,7 +107,7 @@ func TestReduceMatchesReference(t *testing.T) {
 						g.Reduce(md)
 						rg := depgraph.Build(b, lv, pv)
 						reduceReference(rg, lv, md)
-						where := fmt.Sprintf("%s %v recovery=%v block %q", w.Name, md.Model, md.Recovery, b.Label)
+						where := fmt.Sprintf("%s %v recovery=%v block %q", k.name, md.Model, md.Recovery, b.Label)
 						if g.RemovedControl != rg.RemovedControl {
 							t.Fatalf("%s: RemovedControl %d, reference %d", where, g.RemovedControl, rg.RemovedControl)
 						}

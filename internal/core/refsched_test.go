@@ -6,8 +6,6 @@ import (
 
 	"sentinel/internal/machine"
 	"sentinel/internal/prog"
-	"sentinel/internal/superblock"
-	"sentinel/internal/workload"
 )
 
 // progsEqual compares two scheduled programs instruction by instruction,
@@ -64,37 +62,32 @@ func schedulerModels(width int) []machine.Desc {
 // issue widths, Schedule must emit a program byte-identical (opcode, operand,
 // cycle, slot, PC) to the seed scheduler preserved in refsched.go.
 func TestSchedulerMatchesReference(t *testing.T) {
-	for _, w := range workload.All() {
-		p, m := w.Build()
-		p.Layout()
-		ref, err := prog.Run(p, m, prog.Options{Collect: true})
-		if err != nil {
-			t.Fatalf("%s: profile: %v", w.Name, err)
-		}
-		f := superblock.Form(p, ref.Profile, superblock.Options{})
-		f.Layout()
+	for _, k := range formKernels(t) {
+		f := k.f
 		for _, width := range []int{2, 8} {
 			for _, md := range schedulerModels(width) {
 				got, gotStats, err1 := Schedule(f, md)
 				want, wantStats, err2 := ScheduleReference(f, md)
 				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s %v w%d: error mismatch: %v vs %v", w.Name, md.Model, width, err1, err2)
+					t.Fatalf("%s %v w%d: error mismatch: %v vs %v", k.name, md.Model, width, err1, err2)
 				}
 				if err1 != nil {
 					continue
 				}
 				if gotStats != wantStats {
 					t.Errorf("%s %v w%d recovery=%v: stats %+v != reference %+v",
-						w.Name, md.Model, width, md.Recovery, gotStats, wantStats)
+						k.name, md.Model, width, md.Recovery, gotStats, wantStats)
 				}
 				if err := progsEqual(got, want); err != nil {
-					t.Errorf("%s %v w%d recovery=%v: %v", w.Name, md.Model, width, md.Recovery, err)
+					t.Errorf("%s %v w%d recovery=%v: %v", k.name, md.Model, width, md.Recovery, err)
 				}
 			}
 		}
 	}
 }
 
-// (Virtual-register handling of the dense builder state is covered at the
-// depgraph level, in TestBuildVirtualRegisters: liveness analysis rejects
-// virtual registers before core.Schedule ever sees them.)
+// (Virtual registers never reach the scheduler: prog.Program.CheckPhysical
+// refuses them at every assembly-source entry — TestVirtualRegisterIsAssemblyError
+// in internal/server — and liveness analysis panics on one before
+// depgraph.Build runs, since ir.Reg.Index does; TestRegIndexPanicsOnVirtual
+// in internal/ir.)

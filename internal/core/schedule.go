@@ -244,10 +244,13 @@ type scheduler struct {
 	ctrlIdx   []int32
 	ctrlFront int
 	branchIdx []int32
-	// writers lists the IDs of instructions defining each register, for the
-	// anti-dependence scan when a check_exception is inserted (only built
-	// for tag-based models, which are the only inserters).
-	writers map[ir.Reg][]int32
+	// writerIDs lists the IDs of the original instructions defining each
+	// register, grouped by register slot (ir.Reg.Index) in ID order; slot
+	// k's writers are writerIDs[writerOff[k]:writerOff[k+1]]. They serve the
+	// anti-dependence scan when a check_exception is inserted, so the table
+	// is only built for tag-based models, the only inserters.
+	writerOff [physSlots + 1]int32
+	writerIDs []int32
 
 	cycle       int32
 	unscheduled int
@@ -304,12 +307,7 @@ func scheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, m
 		s.indeg[i] = int32(len(nd.In))
 	}
 	if md.Model.UsesTags() {
-		s.writers = make(map[ir.Reg][]int32)
-		for i := 0; i < n; i++ {
-			if d, ok := g.Nodes[i].Instr.Def(); ok {
-				s.writers[d] = append(s.writers[d], int32(i))
-			}
-		}
+		s.indexWriters()
 	}
 	for i := 0; i < n; i++ {
 		if s.indeg[i] == 0 {
@@ -317,11 +315,42 @@ func scheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, m
 		}
 	}
 
-	if err := s.run(); err != nil {
-		return s.stats, err
+	err := s.run()
+	if err == nil {
+		s.emit(b)
 	}
-	s.emit(b)
-	return s.stats, nil
+	g.Release()
+	return s.stats, err
+}
+
+const physSlots = ir.NumIntRegs + ir.NumFPRegs
+
+// indexWriters fills writerOff/writerIDs before any sentinel is inserted:
+// one counting pass, a prefix sum, and one placement pass.
+func (s *scheduler) indexWriters() {
+	for _, nd := range s.g.Nodes {
+		if d, ok := nd.Instr.Def(); ok {
+			s.writerOff[d.Index()+1]++
+		}
+	}
+	for k := 1; k <= physSlots; k++ {
+		s.writerOff[k] += s.writerOff[k-1]
+	}
+	s.writerIDs = make([]int32, s.writerOff[physSlots])
+	next := s.writerOff
+	for i, nd := range s.g.Nodes {
+		if d, ok := nd.Instr.Def(); ok {
+			k := d.Index()
+			s.writerIDs[next[k]] = int32(i)
+			next[k]++
+		}
+	}
+}
+
+// writers returns the IDs of the original instructions defining r.
+func (s *scheduler) writers(r ir.Reg) []int32 {
+	k := r.Index()
+	return s.writerIDs[s.writerOff[k]:s.writerOff[k+1]]
 }
 
 // readyLess is the pick priority: under recovery, ready control instructions
@@ -713,7 +742,7 @@ func (s *scheduler) issue(nd *depgraph.Node, cycle, slot int32) {
 			// of that register (e.g. an unrolled copy reusing it) may be
 			// scheduled before the check reads it.
 			if d, ok := in.Def(); ok {
-				for _, w := range s.writers[d] {
+				for _, w := range s.writers(d) {
 					if w == id || s.done[w] {
 						continue
 					}

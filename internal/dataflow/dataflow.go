@@ -112,8 +112,9 @@ type Liveness struct {
 // block (uses before any local definition).
 func blockUseDef(b *prog.Block) (use, def RegSet) {
 	for _, in := range b.Instrs {
-		for _, u := range in.Uses() {
-			if !def.Has(u) {
+		u1, u2 := in.Uses2()
+		for _, u := range [2]ir.Reg{u1, u2} {
+			if u.Valid() && !def.Has(u) {
 				use.Add(u)
 			}
 		}
@@ -209,8 +210,11 @@ func (lv *Liveness) LiveWithinBlock(b *prog.Block) []RegSet {
 		if d, ok := in.Def(); ok {
 			cur.Remove(d)
 		}
-		for _, u := range in.Uses() {
-			cur.Add(u)
+		u1, u2 := in.Uses2()
+		for _, u := range [2]ir.Reg{u1, u2} {
+			if u.Valid() {
+				cur.Add(u)
+			}
 		}
 		if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && lv.p.Block(in.Target) != nil {
 			cur = cur.Union(lv.In[in.Target])

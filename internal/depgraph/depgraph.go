@@ -16,15 +16,23 @@
 // performance (not correctness) hint.
 //
 // Storage layout. Nodes carry a dense ID (position in Graph.Nodes) and live
-// in one arena slice; builder state is indexed by register slot rather than
-// keyed by ir.Reg maps; and the edges recorded during Build share a single
-// backing allocation, with each node's In/Out list a capacity-clamped
-// sub-slice so later insertions (sentinels, anti edges discovered during
-// scheduling) reallocate instead of clobbering a neighbour's region.
+// in one arena slice; builder state is fixed arrays indexed by physical
+// register slot (ir.Reg.Index); and the edges recorded during Build share a
+// single backing allocation, with each node's In/Out list a capacity-clamped
+// sub-slice of one shared pointer array so later insertions (sentinels, anti
+// edges discovered during scheduling) reallocate instead of clobbering a
+// neighbour's region.
+//
+// Lifecycle. Build draws a Graph, together with its builder scratch, from a
+// package pool and reslices whatever storage is already large enough;
+// Release hands it back once the caller is done with the graph, its nodes
+// and its edges. Releasing is optional: a graph that is never released is
+// an ordinary garbage-collected value.
 package depgraph
 
 import (
 	"fmt"
+	"sync"
 
 	"sentinel/internal/alias"
 	"sentinel/internal/dataflow"
@@ -104,9 +112,9 @@ type Graph struct {
 	// edges backs every *Edge recorded during Build; In/Out hold pointers
 	// into it.
 	edges []Edge
-	// inBack/outBack are the shared backing arrays the per-node In/Out
-	// sub-slices are carved from.
-	inBack, outBack []*Edge
+	// links is the shared backing array the per-node In/Out sub-slices are
+	// carved from: In lists from its first half, Out lists from its second.
+	links []*Edge
 	// branchPrefix[i] counts conditional branches at original indices < i.
 	branchPrefix []int32
 	// takenLive[k] is the set of registers live when the k-th conditional
@@ -119,6 +127,22 @@ type Graph struct {
 	// RemovedControl counts control dependences removed by reduction
 	// (reported by ablation experiments).
 	RemovedControl int
+
+	// bd is the builder scratch, pooled with the graph.
+	bd builder
+}
+
+// graphPool recycles graphs and their builder scratch across Build calls.
+var graphPool = sync.Pool{New: func() any { return new(Graph) }}
+
+// resize returns s with length n, reusing its backing array when it holds
+// at least c elements and allocating one of capacity c otherwise. The
+// contents are unspecified: callers overwrite every element they read.
+func resize[T any](s []T, n, c int) []T {
+	if cap(s) < c {
+		return make([]T, n, c)
+	}
+	return s[:n]
 }
 
 // edgeRec is one dependence recorded during Build, before the shared edge
@@ -132,34 +156,49 @@ type edgeRec struct {
 // Build constructs the full dependence graph of superblock b (all data,
 // memory and control dependences, no reduction). lv must be liveness for the
 // program containing b; pv supplies pointer provenance for memory
-// disambiguation and may be nil (fully conservative aliasing).
+// disambiguation and may be nil (fully conservative aliasing). Every
+// register in b must be physical. The graph comes from a pool; a caller
+// that is done with it may hand it back with Release.
 func Build(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance) *Graph {
-	g := &Graph{Block: b, pv: pv}
+	g := graphPool.Get().(*Graph)
+	g.Block, g.pv, g.reduced, g.RemovedControl = b, pv, false, 0
 	n := len(b.Instrs)
-	g.arena = make([]Node, n, 2*n)
-	g.Nodes = make([]*Node, n)
+	g.arena = resize(g.arena, n, 2*n)
+	g.Nodes = resize(g.Nodes, n, n)
 	for i, in := range b.Instrs {
 		g.arena[i] = Node{Instr: in, ID: i, Index: i, HomeStart: -1, HomeEnd: n}
 		g.Nodes[i] = &g.arena[i]
 	}
 	g.homeBlocks()
-	g.branchPrefix = make([]int32, n+1)
+	g.branchPrefix = resize(g.branchPrefix, n+1, n+1)
+	g.branchPrefix[0] = 0
 	for i, in := range b.Instrs {
 		g.branchPrefix[i+1] = g.branchPrefix[i]
 		if ir.IsBranch(in.Op) {
 			g.branchPrefix[i+1]++
 		}
 	}
-	if nb := g.branchPrefix[n]; nb > 0 {
-		g.takenLive = make([]dataflow.RegSet, nb)
-	}
-	bd := &builder{g: g, lv: lv}
-	bd.initSlots()
+	// Every entry is written by controlDeps before Reduce reads it.
+	nb := int(g.branchPrefix[n])
+	g.takenLive = resize(g.takenLive, nb, nb)
+	bd := &g.bd
+	bd.g, bd.lv, bd.recs = g, lv, bd.recs[:0]
 	bd.registerDeps()
 	bd.memoryDeps()
 	bd.controlDeps()
 	bd.finalize()
+	bd.g, bd.lv = nil, nil
 	return g
+}
+
+// Release returns g's storage to the pool Build draws from. Neither g nor
+// any of its nodes or edges may be used afterwards. The block's
+// instructions are not part of the graph's storage and stay valid.
+func (g *Graph) Release() {
+	clear(g.arena)
+	clear(g.Nodes)
+	g.Block, g.pv = nil, nil
+	graphPool.Put(g)
 }
 
 func (g *Graph) homeBlocks() {
@@ -185,44 +224,34 @@ func (g *Graph) homeBlocks() {
 	}
 }
 
-// builder holds the register-slot-indexed state used while recording edges.
-// Physical registers map to [0, NumIntRegs+NumFPRegs) via ir.Reg.Index;
-// virtual registers (legal in unallocated input) get slots above that.
+// builder holds the state used while recording edges, in fixed arrays
+// indexed by register slot: physical registers map to
+// [0, NumIntRegs+NumFPRegs) via ir.Reg.Index. Only physical registers are
+// accepted (Index panics on a virtual one); every entry point refuses
+// virtual registers earlier (prog.Program.CheckPhysical), and liveness
+// analysis panics on them before Build runs. The slices keep their backing
+// arrays across pooled reuse.
 type builder struct {
 	g    *Graph
 	lv   *dataflow.Liveness
 	recs []edgeRec
-	virt map[ir.Reg]int32
-	nSlt int
+
+	lastDef      [physSlots]int32
+	usesSinceDef [physSlots][]int32
+	version      [physSlots]int32
+	delta        [physSlots]int64
+	loads        []access
+	stores       []access
+	inCnt        []int32
+	outCnt       []int32
 }
 
 const physSlots = ir.NumIntRegs + ir.NumFPRegs
 
-// initSlots assigns slots to every virtual register appearing in the block
-// so per-slot state arrays can be sized once.
-func (bd *builder) initSlots() {
-	bd.nSlt = physSlots
-	for _, nd := range bd.g.Nodes {
-		in := nd.Instr
-		for _, r := range [3]ir.Reg{in.Dest, in.Src1, in.Src2} {
-			if r.Valid() && r.Virtual {
-				if bd.virt == nil {
-					bd.virt = map[ir.Reg]int32{}
-				}
-				if _, ok := bd.virt[r]; !ok {
-					bd.virt[r] = int32(bd.nSlt)
-					bd.nSlt++
-				}
-			}
-		}
-	}
-}
-
-func (bd *builder) slot(r ir.Reg) int32 {
-	if r.Virtual {
-		return bd.virt[r]
-	}
-	return int32(r.Index())
+// access is one memory access recorded by memoryDeps.
+type access struct {
+	ref  memRef
+	node int32
 }
 
 func (bd *builder) rec(from, to int, kind Kind, delay int) {
@@ -232,11 +261,11 @@ func (bd *builder) rec(from, to int, kind Kind, delay int) {
 
 func (bd *builder) registerDeps() {
 	g := bd.g
-	lastDef := make([]int32, bd.nSlt)
-	for i := range lastDef {
-		lastDef[i] = -1
+	lastDef, usesSinceDef := &bd.lastDef, &bd.usesSinceDef
+	for s := range lastDef {
+		lastDef[s] = -1
+		usesSinceDef[s] = usesSinceDef[s][:0]
 	}
-	usesSinceDef := make([][]int32, bd.nSlt)
 	for _, nd := range g.Nodes {
 		in := nd.Instr
 		u1, u2 := in.Uses2()
@@ -244,14 +273,14 @@ func (bd *builder) registerDeps() {
 			if !u.Valid() {
 				continue
 			}
-			s := bd.slot(u)
+			s := u.Index()
 			if d := lastDef[s]; d >= 0 {
 				bd.rec(int(d), nd.ID, Flow, machine.Latency(g.Nodes[d].Instr.Op))
 			}
 			usesSinceDef[s] = append(usesSinceDef[s], int32(nd.ID))
 		}
 		if d, ok := in.Def(); ok {
-			s := bd.slot(d)
+			s := d.Index()
 			if prev := lastDef[s]; prev >= 0 {
 				bd.rec(int(prev), nd.ID, Output, 0)
 			}
@@ -288,17 +317,13 @@ func (g *Graph) disjoint(a, b memRef) bool {
 
 func (bd *builder) memoryDeps() {
 	g := bd.g
-	version := make([]int32, bd.nSlt)
-	delta := make([]int64, bd.nSlt)
-	type access struct {
-		ref  memRef
-		node int32
-	}
-	var loads, stores []access
+	version, delta := &bd.version, &bd.delta
+	*version, *delta = [physSlots]int32{}, [physSlots]int64{}
+	loads, stores := bd.loads[:0], bd.stores[:0]
 	for _, nd := range g.Nodes {
 		in := nd.Instr
 		if ir.IsMem(in.Op) {
-			s := bd.slot(in.Src1)
+			s := in.Src1.Index()
 			ref := memRef{base: in.Src1, version: int(version[s]),
 				lo: in.Imm + delta[s], hi: in.Imm + delta[s] + int64(ir.MemSize(in.Op))}
 			if ir.IsStore(in.Op) {
@@ -328,7 +353,7 @@ func (bd *builder) memoryDeps() {
 			}
 		}
 		if d, ok := in.Def(); ok {
-			s := bd.slot(d)
+			s := d.Index()
 			if (in.Op == ir.Add || in.Op == ir.Sub) && !in.Src2.Valid() && in.Src1 == d {
 				if in.Op == ir.Add {
 					delta[s] += in.Imm
@@ -341,6 +366,7 @@ func (bd *builder) memoryDeps() {
 			}
 		}
 	}
+	bd.loads, bd.stores = loads, stores
 }
 
 func (bd *builder) controlDeps() {
@@ -397,7 +423,7 @@ func (bd *builder) controlDeps() {
 }
 
 // finalize materializes the recorded edges: one shared Edge arena, and one
-// shared backing array each for the In and Out pointer lists, carved into
+// shared backing array for the In and Out pointer lists, carved into
 // per-node sub-slices with clamped capacity. A post-Build append to any
 // node's list (sentinel insertion, AddAnti) therefore reallocates that list
 // instead of writing into the next node's region.
@@ -405,19 +431,22 @@ func (bd *builder) finalize() {
 	g := bd.g
 	n := len(g.Nodes)
 	ne := len(bd.recs)
-	g.edges = make([]Edge, ne)
-	inCnt := make([]int32, n)
-	outCnt := make([]int32, n)
+	g.edges = resize(g.edges, ne, ne)
+	bd.inCnt = resize(bd.inCnt, n, n)
+	bd.outCnt = resize(bd.outCnt, n, n)
+	inCnt, outCnt := bd.inCnt, bd.outCnt
+	clear(inCnt)
+	clear(outCnt)
 	for _, r := range bd.recs {
 		outCnt[r.from]++
 		inCnt[r.to]++
 	}
-	g.inBack = make([]*Edge, ne)
-	g.outBack = make([]*Edge, ne)
+	g.links = resize(g.links, 2*ne, 2*ne)
+	inBack, outBack := g.links[:ne:ne], g.links[ne:2*ne:2*ne]
 	inOff, outOff := 0, 0
 	for i, nd := range g.Nodes {
-		nd.In = g.inBack[inOff : inOff : inOff+int(inCnt[i])]
-		nd.Out = g.outBack[outOff : outOff : outOff+int(outCnt[i])]
+		nd.In = inBack[inOff : inOff : inOff+int(inCnt[i])]
+		nd.Out = outBack[outOff : outOff : outOff+int(outCnt[i])]
 		inOff += int(inCnt[i])
 		outOff += int(outCnt[i])
 	}

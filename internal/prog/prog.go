@@ -29,12 +29,15 @@ type Block struct {
 	WeightHint int64
 }
 
-// Clone deep-copies the block.
+// Clone deep-copies the block. The copies live in one slab, so a block of
+// any length costs three allocations.
 func (b *Block) Clone() *Block {
 	nb := &Block{Label: b.Label, Superblock: b.Superblock, WeightHint: b.WeightHint}
+	slab := make([]ir.Instr, len(b.Instrs))
 	nb.Instrs = make([]*ir.Instr, len(b.Instrs))
 	for i, in := range b.Instrs {
-		nb.Instrs[i] = in.Clone()
+		slab[i] = *in
+		nb.Instrs[i] = &slab[i]
 	}
 	return nb
 }

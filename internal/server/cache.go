@@ -9,6 +9,7 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"net/http"
 	"sync"
 
 	"sentinel/internal/core"
@@ -69,7 +70,8 @@ func (c *sourceCache) len() int {
 // get returns the cached compile of k, computing it via fn on first use.
 // Errors are cached alongside values (a malformed program stays malformed).
 // A caller whose context expires while another goroutine compiles unblocks
-// with the context's error.
+// with the context's error. If fn panics, the entry is dropped, its waiters
+// get a 500 internal error, and the panic continues in the owner.
 func (c *sourceCache) get(ctx context.Context, k sourceKey, fn func() (*compiled, error)) (*compiled, error) {
 	c.mu.Lock()
 	if e, ok := c.m[k]; ok {
@@ -104,8 +106,24 @@ func (c *sourceCache) get(ctx context.Context, k sourceKey, fn func() (*compiled
 	c.mu.Unlock()
 	rd := obs.RecordFrom(ctx)
 	rd.Start(obs.StageSFOwn, obs.ArgSources)
+	returned := false
+	// The deferred resolution runs on a panic too, without recovering it:
+	// an unresolved entry would hold every later request for this source
+	// until its deadline.
+	defer func() {
+		rd.End()
+		if !returned {
+			c.mu.Lock()
+			if c.m[k] == e {
+				delete(c.m, k)
+			}
+			c.mu.Unlock()
+			e.err = apiErrorf(http.StatusInternalServerError, KindInternal,
+				"source compile failed unexpectedly")
+		}
+		close(e.done)
+	}()
 	e.val, e.err = fn()
-	rd.End()
-	close(e.done)
+	returned = true
 	return e.val, e.err
 }
