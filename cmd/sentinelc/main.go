@@ -55,9 +55,6 @@ func main() {
 		if p, m, err = asm.Parse(string(src)); err != nil {
 			fatal(err)
 		}
-		if err = p.CheckPhysical(); err != nil {
-			fatal(err)
-		}
 	default:
 		flag.Usage()
 		os.Exit(2)

@@ -56,6 +56,7 @@ import (
 	"sync"
 	"time"
 
+	"sentinel/internal/httpraw"
 	"sentinel/internal/wire"
 )
 
@@ -256,6 +257,7 @@ type worker struct {
 	seqOffs []int
 	conn    net.Conn
 	br      *bufio.Reader
+	resp    httpraw.Response
 	results []result
 	timeout time.Duration
 	wid     int
@@ -342,160 +344,21 @@ func (w *worker) close() {
 	}
 }
 
-// trimCRLF strips the line terminator ReadSlice leaves on.
-func trimCRLF(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-		if n > 1 && b[n-2] == '\r' {
-			b = b[:n-2]
-		}
-	}
-	return b
-}
-
-// headerValue matches a header line against a lowercase name and returns
-// the trimmed value — case-insensitive, allocation-free.
-func headerValue(line []byte, name string) ([]byte, bool) {
-	if len(line) <= len(name) || line[len(name)] != ':' {
-		return nil, false
-	}
-	for i := 0; i < len(name); i++ {
-		c := line[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return nil, false
-		}
-	}
-	return bytes.TrimSpace(line[len(name)+1:]), true
-}
-
-func parseDecimal(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// readResponse consumes exactly one HTTP/1.1 response from the worker's
-// buffered connection: status line, headers (only Content-Length,
-// Transfer-Encoding and Connection matter), then the body, discarded in
-// place. A response without body framing must be terminated by connection
-// close, so the connection is drained and dropped.
+// readResponse consumes exactly one final HTTP/1.1 response from the
+// worker's buffered connection (interim 1xx responses are skipped), tallies
+// its X-Fleet-Backend, and drops the connection when the response ends it.
 func (w *worker) readResponse() (int, error) {
-	line, err := w.br.ReadSlice('\n')
-	if err != nil {
+	if _, err := w.resp.Read(w.br); err != nil {
 		return 0, err
 	}
-	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
-		return 0, fmt.Errorf("malformed status line %q", trimCRLF(line))
+	if v := w.resp.Header("x-fleet-backend"); v != nil {
+		w.tallyBackend(v)
 	}
-	status := 0
-	for _, c := range line[9:12] {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("malformed status line %q", trimCRLF(line))
-		}
-		status = status*10 + int(c-'0')
-	}
-	clen := -1
-	chunked, closeAfter := false, false
-	for {
-		h, err := w.br.ReadSlice('\n')
-		if err != nil {
-			return 0, err
-		}
-		h = trimCRLF(h)
-		if len(h) == 0 {
-			break
-		}
-		if v, ok := headerValue(h, "content-length"); ok {
-			n, ok := parseDecimal(v)
-			if !ok {
-				return 0, fmt.Errorf("malformed Content-Length %q", v)
-			}
-			clen = n
-		} else if v, ok := headerValue(h, "x-fleet-backend"); ok {
-			w.tallyBackend(v)
-		} else if v, ok := headerValue(h, "transfer-encoding"); ok {
-			if bytes.EqualFold(v, []byte("chunked")) {
-				chunked = true
-			}
-		} else if v, ok := headerValue(h, "connection"); ok {
-			if bytes.EqualFold(v, []byte("close")) {
-				closeAfter = true
-			}
-		}
-	}
-	switch {
-	case chunked:
-		if err := w.discardChunked(); err != nil {
-			return 0, err
-		}
-	case clen >= 0:
-		if _, err := w.br.Discard(clen); err != nil {
-			return 0, err
-		}
-	default:
-		// No framing: body runs to EOF, connection cannot be reused.
-		closeAfter = true
-		io.Copy(io.Discard, w.br) //nolint:errcheck
-	}
-	if closeAfter {
+	if w.resp.Close {
 		w.conn.Close()
 		w.conn = nil
 	}
-	return status, nil
-}
-
-// discardChunked skips a chunked body: size line, chunk bytes + CRLF,
-// repeat; the zero chunk is followed by trailers up to a blank line.
-func (w *worker) discardChunked() error {
-	for {
-		line, err := w.br.ReadSlice('\n')
-		if err != nil {
-			return err
-		}
-		line = trimCRLF(line)
-		n := 0
-		for _, c := range line {
-			switch {
-			case '0' <= c && c <= '9':
-				n = n*16 + int(c-'0')
-			case 'a' <= c && c <= 'f':
-				n = n*16 + int(c-'a') + 10
-			case 'A' <= c && c <= 'F':
-				n = n*16 + int(c-'A') + 10
-			case c == ';': // chunk extension: size already parsed
-			default:
-				return fmt.Errorf("malformed chunk size %q", line)
-			}
-			if c == ';' {
-				break
-			}
-		}
-		if n == 0 {
-			for {
-				t, err := w.br.ReadSlice('\n')
-				if err != nil {
-					return err
-				}
-				if len(trimCRLF(t)) == 0 {
-					return nil
-				}
-			}
-		}
-		if _, err := w.br.Discard(n + 2); err != nil { // chunk + CRLF
-			return err
-		}
-	}
+	return w.resp.Status, nil
 }
 
 // batchWorker is one closed-loop batch driver: a keep-alive connection

@@ -361,6 +361,42 @@ func TestWorkerParsesErrorStatus(t *testing.T) {
 	}
 }
 
+// TestWorkerSkipsInterimResponse: a backend that answers 100 Continue and
+// then 200 is counted once, with status 200, and the worker keeps its
+// connection: the interim response is not mistaken for an unframed final
+// one that reads to EOF.
+func TestWorkerSkipsInterimResponse(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		w.WriteHeader(http.StatusContinue)
+		w.Header().Set("X-Fleet-Backend", "127.0.0.1:9999")
+		w.Write([]byte(`{"ok":true}`)) //nolint:errcheck
+	}))
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+	host := strings.TrimPrefix(ts.URL, "http://")
+	wk := newWorker(host, "/v1/simulate", 0, [][]byte{[]byte(`{}`)}, 2*time.Second)
+	defer wk.close()
+	wk.shoot(0)
+	wk.shoot(0)
+	if len(wk.results) != 2 {
+		t.Fatalf("recorded %d results, want 2", len(wk.results))
+	}
+	for i, r := range wk.results {
+		if r.err || r.status != http.StatusOK {
+			t.Fatalf("result %d = %+v, want status 200", i, r)
+		}
+	}
+	if wk.conn == nil || ln.accepted.Load() != 1 {
+		t.Fatalf("conn kept %v, %d dials; want one reused connection", wk.conn != nil, ln.accepted.Load())
+	}
+	if len(wk.fleetNames) != 1 || wk.fleetCounts[0] != 2 {
+		t.Fatalf("backend tally %v %v, want one backend counted twice", wk.fleetNames, wk.fleetCounts)
+	}
+}
+
 // TestHostFromAddr covers the base-URL-to-dial-target reduction, IPv6
 // literals in every spelling included.
 func TestHostFromAddr(t *testing.T) {

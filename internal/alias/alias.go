@@ -45,8 +45,7 @@ const (
 const numRegs = ir.NumIntRegs + ir.NumFPRegs
 
 // Provenance holds the per-register analysis result in two dense tables
-// indexed by physical register slot. Only physical registers are accepted:
-// Index panics on a virtual one.
+// indexed by register slot (ir.Reg.Index).
 type Provenance struct {
 	st   [numRegs]state
 	root [numRegs]int64

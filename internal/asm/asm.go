@@ -281,29 +281,19 @@ func splitArgs(s string) []string {
 	return parts
 }
 
+// parseReg parses r0..r63 or f0..f63; any other name is a bad register.
 func parseReg(s string) (ir.Reg, error) {
-	if len(s) < 2 {
-		return ir.NoReg, fmt.Errorf("bad register %q", s)
+	if len(s) >= 2 {
+		if n, err := strconv.Atoi(s[1:]); err == nil && n >= 0 {
+			switch {
+			case s[0] == 'r' && n < ir.NumIntRegs:
+				return ir.R(n), nil
+			case s[0] == 'f' && n < ir.NumFPRegs:
+				return ir.F(n), nil
+			}
+		}
 	}
-	var mk func(int) ir.Reg
-	var num string
-	switch {
-	case s[0] == 'r':
-		mk, num = ir.R, s[1:]
-	case s[0] == 'f':
-		mk, num = ir.F, s[1:]
-	case s[0] == 'v' && len(s) > 2 && s[1] == 'f':
-		mk, num = ir.VF, s[2:]
-	case s[0] == 'v':
-		mk, num = ir.VR, s[1:]
-	default:
-		return ir.NoReg, fmt.Errorf("bad register %q", s)
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 || (s[0] != 'v' && n >= ir.NumIntRegs) {
-		return ir.NoReg, fmt.Errorf("bad register %q", s)
-	}
-	return mk(n), nil
+	return ir.NoReg, fmt.Errorf("bad register %q", s)
 }
 
 // parseMemOperand parses "off(base)".

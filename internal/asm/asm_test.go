@@ -173,19 +173,25 @@ func TestFormatScheduled(t *testing.T) {
 	}
 }
 
+// TestVirtualRegisterSyntax: only r0..r63 and f0..f63 name registers, each
+// class bounded by its own file. The old virtual names (v1, vf2) and
+// out-of-range numbers are each a bad-register error.
 func TestVirtualRegisterSyntax(t *testing.T) {
-	in, err := ParseInstr("add v3, v1, v2")
-	if err != nil {
-		t.Fatal(err)
+	for _, reg := range []string{"v1", "vf2", "r64", "f64", "r-1"} {
+		_, err := ParseInstr("mov " + reg + ", r1")
+		if err == nil || !strings.Contains(err.Error(), "bad register") {
+			t.Errorf("mov %s, r1: err = %v, want a bad-register error", reg, err)
+		}
 	}
-	if !in.Dest.Virtual || in.Dest.N != 3 {
-		t.Errorf("dest = %+v", in.Dest)
-	}
-	fin, err := ParseInstr("fadd vf3, vf1, vf2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fin.Dest.Virtual || fin.Dest.Class != ir.FPClass {
-		t.Errorf("fp dest = %+v", fin.Dest)
+	for _, c := range []struct {
+		text string
+		want ir.Reg
+	}{{"mov r63, r1", ir.R(63)}, {"fmov f63, f1", ir.F(63)}, {"mov r0, r1", ir.R(0)}} {
+		in, err := ParseInstr(c.text)
+		if err != nil {
+			t.Errorf("%s: %v", c.text, err)
+		} else if in.Dest != c.want {
+			t.Errorf("%s: dest %v, want %v", c.text, in.Dest, c.want)
+		}
 	}
 }

@@ -86,8 +86,6 @@ func TestSchedulerMatchesReference(t *testing.T) {
 	}
 }
 
-// (Virtual registers never reach the scheduler: prog.Program.CheckPhysical
-// refuses them at every assembly-source entry — TestVirtualRegisterIsAssemblyError
-// in internal/server — and liveness analysis panics on one before
-// depgraph.Build runs, since ir.Reg.Index does; TestRegIndexPanicsOnVirtual
-// in internal/ir.)
+// (Every register the scheduler sees indexes its file: ir.R and ir.F refuse
+// any other number — TestRegConstructorsRange in internal/ir — and the
+// assembler rejects any other name as a bad register.)

@@ -226,11 +226,9 @@ func (g *Graph) homeBlocks() {
 
 // builder holds the state used while recording edges, in fixed arrays
 // indexed by register slot: physical registers map to
-// [0, NumIntRegs+NumFPRegs) via ir.Reg.Index. Only physical registers are
-// accepted (Index panics on a virtual one); every entry point refuses
-// virtual registers earlier (prog.Program.CheckPhysical), and liveness
-// analysis panics on them before Build runs. The slices keep their backing
-// arrays across pooled reuse.
+// [0, NumIntRegs+NumFPRegs) via ir.Reg.Index (every valid ir.Reg is
+// physical and in range). The slices keep their backing arrays across
+// pooled reuse.
 type builder struct {
 	g    *Graph
 	lv   *dataflow.Liveness

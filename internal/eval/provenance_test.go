@@ -139,8 +139,10 @@ func checkProvenance(t *testing.T, what string, p *prog.Program, profile *prog.P
 	}{{"raw", p}, {"formed", f}, {"scheduled", s}} {
 		got, want := alias.Analyze(c.p), refAnalyze(c.p)
 		for i := 0; i < ir.NumIntRegs+ir.NumFPRegs; i++ {
-			r := ir.R(i)
-			if i >= ir.NumIntRegs {
+			var r ir.Reg
+			if i < ir.NumIntRegs {
+				r = ir.R(i)
+			} else {
 				r = ir.F(i - ir.NumIntRegs)
 			}
 			g, w := got.Of(r), want.Of(r)

@@ -5,11 +5,11 @@ package fleet
 // request is: serialize the request frame into pooled scratch (request
 // line, relayed headers, explicit Content-Length, body — one conn.Write),
 // then parse the response in place off the pooled connection's buffered
-// reader (status line, header offsets recorded for relay, body read whole
-// by Content-Length or de-chunked into scratch). Buffering the entire
-// response before relaying is what keeps the router's retry semantics
-// simple: nothing has been written to the client until the hop has fully
-// succeeded, so a draining refusal or transport error can still reroute.
+// reader with httpraw (status line, relayable headers, body read whole by
+// Content-Length or de-chunked). Buffering the entire response before
+// relaying is what keeps the router's retry semantics simple: nothing has
+// been written to the client until the hop has fully succeeded, so a
+// draining refusal or transport error can still reroute.
 //
 // Connection discipline mirrors the wire proxy's: per-backend keep-alive
 // pool, a failure on a pooled connection before any response byte arrives
@@ -20,33 +20,21 @@ package fleet
 // net/http client.
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"sentinel/internal/httpraw"
 )
 
-// maxRawRespBytes bounds one buffered backend response (far above any real
-// envelope or figures render; a response past it is a hop error).
-const maxRawRespBytes = 64 << 20
-
-// hdrPair records one relayable response header as offsets into
-// rawScratch.hdr (name is hdr[n0:n1], value hdr[v0:v1]); offsets survive
-// the append-driven reallocations that slices would not.
-type hdrPair struct{ n0, n1, v0, v1 int }
-
-// rawScratch pools the byte workspaces of one raw hop: the preserialized
-// request frame, the response header block + relay offsets, and the
-// response body accumulator.
+// rawScratch pools the workspaces of one raw hop: the preserialized request
+// frame and the parsed response, whose body and headers stay valid until
+// the scratch is recycled (copied before any longer-lived use, the cache
+// fill).
 type rawScratch struct {
-	req   []byte
-	hdr   []byte
-	body  []byte
-	pairs []hdrPair
+	req  []byte
+	resp httpraw.Response
 }
 
 var rawScratchPool = sync.Pool{New: func() any { return new(rawScratch) }}
@@ -56,19 +44,10 @@ func getRawScratch() *rawScratch { return rawScratchPool.Get().(*rawScratch) }
 // putRawScratch recycles the scratch; one grown past 1 MiB is dropped so a
 // single huge response cannot pin memory in the pool.
 func putRawScratch(ps *rawScratch) {
-	if cap(ps.req)+cap(ps.body)+cap(ps.hdr) > 1<<20 {
+	if cap(ps.req)+cap(ps.resp.Body) > 1<<20 {
 		return
 	}
 	rawScratchPool.Put(ps)
-}
-
-// rawResult is one parsed backend response. body and the header offsets
-// alias the rawScratch that produced them: valid until the scratch is
-// recycled, copied before any longer-lived use (the cache fill).
-type rawResult struct {
-	status     int
-	closeAfter bool
-	body       []byte
 }
 
 // rawDialError wraps a fresh-dial failure — the only raw-hop error class
@@ -116,8 +95,9 @@ func buildRawRequest(ps *rawScratch, r *http.Request, host string, body []byte) 
 // request frame must already be built in ps. Stale pooled connections
 // (write failure, or EOF before any response byte) close and retry on the
 // next pooled or fresh connection; every other failure surfaces — wrapped
-// in rawDialError when a fresh dial was what failed.
-func (rt *Router) rawSend(b *backend, r *http.Request, ps *rawScratch) (rawResult, error) {
+// in rawDialError when a fresh dial was what failed. The response is left
+// in ps.resp.
+func (rt *Router) rawSend(b *backend, r *http.Request, ps *rawScratch) error {
 	deadline := time.Now().Add(rt.cfg.RequestTimeout)
 	if d, ok := r.Context().Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -125,7 +105,7 @@ func (rt *Router) rawSend(b *backend, r *http.Request, ps *rawScratch) (rawResul
 	for {
 		hc, pooled, err := b.getHTTP(rt.cfg.DialTimeout)
 		if err != nil {
-			return rawResult{}, &rawDialError{err}
+			return &rawDialError{err}
 		}
 		hc.conn.SetDeadline(deadline) //nolint:errcheck
 		if _, err := hc.conn.Write(ps.req); err != nil {
@@ -133,295 +113,33 @@ func (rt *Router) rawSend(b *backend, r *http.Request, ps *rawScratch) (rawResul
 			if pooled {
 				continue
 			}
-			return rawResult{}, err
+			return err
 		}
-		res, began, err := readRawResponse(hc.br, ps)
+		began, err := ps.resp.Read(hc.br)
 		if err != nil {
 			hc.conn.Close()
 			if pooled && !began {
 				continue
 			}
-			return rawResult{}, err
+			return err
 		}
-		if res.closeAfter {
+		if ps.resp.Close {
 			hc.conn.Close()
 		} else {
 			b.putHTTP(hc)
 		}
-		return res, nil
-	}
-}
-
-// readRawResponse consumes one final HTTP/1.1 response from br into ps.
-// Interim 1xx responses (a 100 Continue from a backend that honored an
-// Expect header, say) are parsed and discarded — only the final response is
-// returned, so a 100 can never be mistaken for an unframed answer that
-// blocks reading to EOF on a keep-alive connection. began reports whether
-// any response byte arrived before a failure — false means the caller may
-// treat a pooled connection as stale and retry.
-func readRawResponse(br *bufio.Reader, ps *rawScratch) (res rawResult, began bool, err error) {
-	const maxInterim = 8 // backends send at most one 1xx; anything more is broken
-	for interim := 0; ; interim++ {
-		line, err := br.ReadSlice('\n')
-		if !began {
-			began = len(line) > 0 || err == nil
-		}
-		if err != nil {
-			return res, began, err
-		}
-		began = true
-		if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
-			return res, true, fmt.Errorf("malformed status line %q", trimLine(line))
-		}
-		res = rawResult{closeAfter: line[7] == '0'} // HTTP/1.0: no keep-alive by default
-		for _, c := range line[9:12] {
-			if c < '0' || c > '9' {
-				return res, true, fmt.Errorf("malformed status line %q", trimLine(line))
-			}
-			res.status = res.status*10 + int(c-'0')
-		}
-		clen, chunked := -1, false
-		ps.hdr = ps.hdr[:0]
-		ps.pairs = ps.pairs[:0]
-		for {
-			h, err := br.ReadSlice('\n')
-			if err != nil {
-				return res, true, err
-			}
-			h = trimLine(h)
-			if len(h) == 0 {
-				break
-			}
-			colon := bytes.IndexByte(h, ':')
-			if colon < 0 {
-				return res, true, fmt.Errorf("malformed header line %q", h)
-			}
-			name, val := h[:colon], bytes.TrimSpace(h[colon+1:])
-			switch {
-			case asciiFold(name, "content-length"):
-				n, ok := parseDec(val)
-				if !ok {
-					return res, true, fmt.Errorf("malformed Content-Length %q", val)
-				}
-				clen = n
-			case asciiFold(name, "transfer-encoding"):
-				chunked = bytes.EqualFold(val, []byte("chunked"))
-			case asciiFold(name, "connection"):
-				if bytes.EqualFold(val, []byte("close")) {
-					res.closeAfter = true
-				}
-			case isHopHeaderBytes(name):
-			default:
-				n0 := len(ps.hdr)
-				ps.hdr = append(ps.hdr, name...)
-				v0 := len(ps.hdr)
-				ps.hdr = append(ps.hdr, val...)
-				ps.pairs = append(ps.pairs, hdrPair{n0, v0, v0, len(ps.hdr)})
-			}
-		}
-		if res.status >= 100 && res.status < 200 {
-			// Interim response: its header block just ended; the real response
-			// follows on the same connection.
-			if interim+1 >= maxInterim {
-				return res, true, fmt.Errorf("%d interim 1xx responses without a final one", maxInterim)
-			}
-			continue
-		}
-		switch {
-		case res.status == http.StatusNoContent || res.status == http.StatusNotModified:
-			// Bodyless by definition: any Content-Length on a 304 describes
-			// the representation, it does not frame bytes on this connection.
-			ps.body = ps.body[:0]
-		case chunked:
-			if err := readChunkedInto(br, ps); err != nil {
-				return res, true, err
-			}
-		case clen >= 0:
-			if clen > maxRawRespBytes {
-				return res, true, fmt.Errorf("response body %d bytes exceeds the %d relay bound", clen, maxRawRespBytes)
-			}
-			if cap(ps.body) < clen {
-				ps.body = make([]byte, clen)
-			}
-			ps.body = ps.body[:clen]
-			if _, err := io.ReadFull(br, ps.body); err != nil {
-				return res, true, err
-			}
-		default:
-			// No framing: the body runs to connection close.
-			res.closeAfter = true
-			ps.body = ps.body[:0]
-			var err error
-			if ps.body, err = readToEOF(br, ps.body); err != nil {
-				return res, true, err
-			}
-		}
-		res.body = ps.body
-		return res, true, nil
-	}
-}
-
-// readChunkedInto de-chunks a body into ps.body: size line, chunk bytes +
-// CRLF, repeat; the zero chunk's trailers run to a blank line. The relayed
-// framing becomes an explicit Content-Length — same bytes, settled framing.
-func readChunkedInto(br *bufio.Reader, ps *rawScratch) error {
-	ps.body = ps.body[:0]
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil {
-			return err
-		}
-		n, ok := parseHex(trimLine(line))
-		if !ok {
-			return fmt.Errorf("malformed chunk size %q", trimLine(line))
-		}
-		if n == 0 {
-			for {
-				t, err := br.ReadSlice('\n')
-				if err != nil {
-					return err
-				}
-				if len(trimLine(t)) == 0 {
-					return nil
-				}
-			}
-		}
-		if len(ps.body)+n > maxRawRespBytes {
-			return fmt.Errorf("chunked body exceeds the %d relay bound", maxRawRespBytes)
-		}
-		off := len(ps.body)
-		if cap(ps.body) < off+n {
-			grown := make([]byte, off+n, (off+n)*2)
-			copy(grown, ps.body)
-			ps.body = grown
-		} else {
-			ps.body = ps.body[:off+n]
-		}
-		if _, err := io.ReadFull(br, ps.body[off:]); err != nil {
-			return err
-		}
-		if _, err := br.Discard(2); err != nil { // chunk-terminating CRLF
-			return err
-		}
-	}
-}
-
-// readToEOF drains br into dst, bounded by maxRawRespBytes.
-func readToEOF(br *bufio.Reader, dst []byte) ([]byte, error) {
-	var chunk [8192]byte
-	for {
-		n, err := br.Read(chunk[:])
-		dst = append(dst, chunk[:n]...)
-		if len(dst) > maxRawRespBytes {
-			return dst, fmt.Errorf("unframed body exceeds the %d relay bound", maxRawRespBytes)
-		}
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
+		return nil
 	}
 }
 
 // relayRaw writes a parsed raw-hop response to the client: the backend's
 // relayable headers, the answering-backend tag, explicit Content-Length
 // framing (a de-chunked body is the same bytes under settled framing).
-func relayRaw(w http.ResponseWriter, ps *rawScratch, res rawResult, addr string) {
+func relayRaw(w http.ResponseWriter, res *httpraw.Response, addr string) {
 	h := w.Header()
-	for _, p := range ps.pairs {
-		h.Add(string(ps.hdr[p.n0:p.n1]), string(ps.hdr[p.v0:p.v1]))
-	}
+	res.AddHeaders(h)
 	h.Set(fleetBackendHeader, addr)
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
-	w.WriteHeader(res.status)
-	w.Write(res.body) //nolint:errcheck // client gone; nothing left to do
-}
-
-// findHeader returns the first recorded response header matching name
-// (which must be in canonical form, as backends send it).
-func (ps *rawScratch) findHeader(name string) string {
-	for _, p := range ps.pairs {
-		if asciiFold(ps.hdr[p.n0:p.n1], name) {
-			return string(ps.hdr[p.v0:p.v1])
-		}
-	}
-	return ""
-}
-
-// trimLine strips the CRLF (or bare LF) ReadSlice leaves on.
-func trimLine(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-		if n > 1 && b[n-2] == '\r' {
-			b = b[:n-2]
-		}
-	}
-	return b
-}
-
-// asciiFold reports whether b equals name ASCII-case-insensitively; name is
-// conventionally lowercase. Allocation-free.
-func asciiFold(b []byte, name string) bool {
-	if len(b) != len(name) {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c, d := b[i], name[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if 'A' <= d && d <= 'Z' {
-			d += 'a' - 'A'
-		}
-		if c != d {
-			return false
-		}
-	}
-	return true
-}
-
-func isHopHeaderBytes(name []byte) bool {
-	for _, h := range hopHeaders {
-		if asciiFold(name, h) {
-			return true
-		}
-	}
-	return false
-}
-
-func parseDec(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-func parseHex(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		switch {
-		case '0' <= c && c <= '9':
-			n = n*16 + int(c-'0')
-		case 'a' <= c && c <= 'f':
-			n = n*16 + int(c-'a') + 10
-		case 'A' <= c && c <= 'F':
-			n = n*16 + int(c-'A') + 10
-		case c == ';': // chunk extension: size already parsed
-			return n, true
-		default:
-			return 0, false
-		}
-	}
-	return n, true
+	h.Set("Content-Length", strconv.Itoa(len(res.Body)))
+	w.WriteHeader(res.Status)
+	w.Write(res.Body) //nolint:errcheck // client gone; nothing left to do
 }

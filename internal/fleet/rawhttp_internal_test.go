@@ -1,112 +1,16 @@
 package fleet
 
-// White-box pins for the raw hop's response parser: interim 1xx responses
-// are consumed, not mistaken for the final answer (the unframed-body branch
-// would otherwise block reading to EOF on a keep-alive connection until the
-// request deadline), bodyless statuses (204/304) never take that branch
-// either, and the request builder keeps Expect off the wire — the body is
-// fully buffered, so a relayed 100-continue handshake could only provoke
-// the interim responses the parser now defends against.
+// The request builder keeps Expect off the wire: the body is fully
+// buffered, so a relayed 100-continue handshake could only provoke the
+// interim responses the reader (internal/httpraw) has to skip.
 
 import (
-	"bufio"
 	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-func parseRaw(t *testing.T, wire string) (rawResult, *rawScratch, *bufio.Reader) {
-	t.Helper()
-	ps := new(rawScratch)
-	br := bufio.NewReader(strings.NewReader(wire))
-	res, began, err := readRawResponse(br, ps)
-	if err != nil {
-		t.Fatalf("readRawResponse(%q): %v", wire, err)
-	}
-	if !began {
-		t.Fatalf("readRawResponse(%q): began = false after a full response", wire)
-	}
-	return res, ps, br
-}
-
-// TestReadRawResponseSkipsInterim: a 100 Continue ahead of the real
-// response (what a backend emits when Expect reaches it) is discarded —
-// status, headers and body all come from the final response, and the
-// interim's headers never leak into the relay set.
-func TestReadRawResponseSkipsInterim(t *testing.T) {
-	res, ps, _ := parseRaw(t,
-		"HTTP/1.1 100 Continue\r\nX-Interim: leak\r\n\r\n"+
-			"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 5\r\n\r\nhello")
-	if res.status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (the interim 100 must not be the answer)", res.status)
-	}
-	if string(res.body) != "hello" {
-		t.Fatalf("body = %q, want %q", res.body, "hello")
-	}
-	if res.closeAfter {
-		t.Error("closeAfter = true; a framed final response keeps the connection alive")
-	}
-	if got := ps.findHeader("content-type"); got != "application/json" {
-		t.Errorf("Content-Type = %q, want the final response's %q", got, "application/json")
-	}
-	if got := ps.findHeader("x-interim"); got != "" {
-		t.Errorf("interim header leaked into the relay set: X-Interim = %q", got)
-	}
-}
-
-// TestReadRawResponseInterimChain: multiple interims (103 Early Hints then
-// 100) still resolve to the final response; an endless interim stream is an
-// error, not a hang.
-func TestReadRawResponseInterimChain(t *testing.T) {
-	res, _, _ := parseRaw(t,
-		"HTTP/1.1 103 Early Hints\r\n\r\nHTTP/1.1 100 Continue\r\n\r\n"+
-			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
-	if res.status != http.StatusOK || string(res.body) != "ok" {
-		t.Fatalf("got status %d body %q, want 200 %q", res.status, res.body, "ok")
-	}
-
-	endless := strings.Repeat("HTTP/1.1 100 Continue\r\n\r\n", 16)
-	ps := new(rawScratch)
-	if _, _, err := readRawResponse(bufio.NewReader(strings.NewReader(endless)), ps); err == nil {
-		t.Fatal("an interim-only stream parsed without error; want the interim bound to trip")
-	}
-}
-
-// TestReadRawResponseBodyless: 204/304 carry no body regardless of framing
-// headers, and — unlike the unframed default branch — they preserve the
-// keep-alive connection: the next response on the same reader must parse.
-func TestReadRawResponseBodyless(t *testing.T) {
-	res, _, br := parseRaw(t,
-		"HTTP/1.1 204 No Content\r\n\r\n"+
-			"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnext")
-	if res.status != http.StatusNoContent || len(res.body) != 0 {
-		t.Fatalf("204: status %d body %q, want 204 with no body", res.status, res.body)
-	}
-	if res.closeAfter {
-		t.Error("204: closeAfter = true; a bodyless response keeps the connection alive")
-	}
-	ps := new(rawScratch)
-	next, _, err := readRawResponse(br, ps)
-	if err != nil || next.status != http.StatusOK || string(next.body) != "next" {
-		t.Fatalf("response after the 204 did not parse: %v (status %d body %q)", err, next.status, next.body)
-	}
-
-	// A 304's Content-Length describes the representation it elides; reading
-	// it as framing would swallow the next response (or block to deadline).
-	res, _, br = parseRaw(t,
-		"HTTP/1.1 304 Not Modified\r\nContent-Length: 10\r\nEtag: \"v1\"\r\n\r\n"+
-			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
-	if res.status != http.StatusNotModified || len(res.body) != 0 || res.closeAfter {
-		t.Fatalf("304: status %d body %q closeAfter %v, want bodyless keep-alive", res.status, res.body, res.closeAfter)
-	}
-	ps = new(rawScratch)
-	next, _, err = readRawResponse(br, ps)
-	if err != nil || next.status != http.StatusOK || string(next.body) != "ok" {
-		t.Fatalf("response after the 304 did not parse: %v (status %d body %q)", err, next.status, next.body)
-	}
-}
 
 // TestBuildRawRequestStripsExpect: the hop never relays Expect — the body
 // travels in the same write as the headers, so the handshake the header

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"sentinel/internal/fingerprint"
+	"sentinel/internal/httpraw"
 	"sentinel/internal/obs"
 	"sentinel/internal/server"
 	"sentinel/internal/wire"
@@ -420,13 +421,6 @@ func (rt *Router) reroute(k fingerprint.Key, spilled bool, failed int) int {
 	return rt.ring.pick(ringHash(k), failed, rt.eligible)
 }
 
-// hopHeaders are the HTTP/1.1 connection-scoped headers that must not cross
-// the proxied hop.
-var hopHeaders = [...]string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
 // fleetBackendHeader names the backend that answered a proxied request.
 const fleetBackendHeader = "X-Fleet-Backend"
 
@@ -651,7 +645,7 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 		b.inflight.Add(1)
 		rd.Start(obs.StageProxy, arg)
 		buildRawRequest(ps, r, b.addr, body)
-		res, err := rt.rawSend(b, r, ps)
+		err := rt.rawSend(b, r, ps)
 		rd.End()
 		b.inflight.Add(-1)
 		if err != nil {
@@ -678,7 +672,8 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 		// A draining backend refused after the probe window: treat its 503
 		// envelope like a connect failure and reroute, once. Not draining (or
 		// nowhere to go): the refusal relays verbatim below.
-		if res.status == http.StatusServiceUnavailable && attempt+1 < maxAttempts && isDrainingBody(res.body) {
+		res := &ps.resp
+		if res.Status == http.StatusServiceUnavailable && attempt+1 < maxAttempts && isDrainingBody(res.Body) {
 			if !b.draining.Swap(true) {
 				rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
 			}
@@ -689,18 +684,18 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 				continue
 			}
 		}
-		if canonOK && res.status == http.StatusOK {
+		if canonOK && res.Status == http.StatusOK {
 			// Fill both lanes with one immutable copy (the scratch bytes are
 			// recycled); the singleflight hands waiters the same copy. Only
 			// 200 envelopes are stored — a refusal is never memoized.
-			cbody := append([]byte(nil), res.body...)
-			ctype := ps.findHeader("content-type")
+			cbody := append([]byte(nil), res.Body...)
+			ctype := string(res.Header("content-type"))
 			rt.resp.Put(canonK, cbody, ctype)
 			rt.resp.Put(rawK, cbody, ctype)
 			rt.flight.resolve(canonK, fill, cbody, ctype, true)
 		}
-		relayRaw(w, ps, res, b.addr)
-		return res.status
+		relayRaw(w, res, b.addr)
+		return res.Status
 	}
 }
 
@@ -819,7 +814,7 @@ func (rt *Router) send(b *backend, r *http.Request, body []byte, overflow io.Rea
 }
 
 func isHopHeader(name string) bool {
-	for _, h := range hopHeaders {
+	for _, h := range httpraw.HopHeaders {
 		if strings.EqualFold(name, h) {
 			return true
 		}

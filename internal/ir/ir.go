@@ -28,51 +28,56 @@ const (
 	NumFPRegs  = 64
 )
 
-// Reg names one architectural or virtual register. Physical registers have
-// N < NumIntRegs (or NumFPRegs); the register allocator additionally uses
-// virtual registers with Virtual set, which must be rewritten to physical
-// registers before scheduling or simulation.
+// Reg names one architectural register: N is in [0,NumIntRegs) for the
+// integer file or [0,NumFPRegs) for the floating-point file. R and F are
+// the only constructors of a valid Reg and refuse any other number, so a
+// valid Reg always indexes its file.
 type Reg struct {
-	Class   RegClass
-	N       int16
-	Virtual bool
-	valid   bool
+	Class RegClass
+	N     int16
+	valid bool
 }
 
 // NoReg is the zero Reg and means "no operand".
 var NoReg = Reg{}
 
-// R returns integer register n.
-func R(n int) Reg { return Reg{Class: IntClass, N: int16(n), valid: true} }
+// R returns integer register n. It panics unless 0 <= n < NumIntRegs.
+func R(n int) Reg {
+	if uint(n) >= NumIntRegs {
+		badReg("r", n)
+	}
+	return Reg{Class: IntClass, N: int16(n), valid: true}
+}
 
-// F returns floating-point register n.
-func F(n int) Reg { return Reg{Class: FPClass, N: int16(n), valid: true} }
+// F returns floating-point register n. It panics unless 0 <= n < NumFPRegs.
+func F(n int) Reg {
+	if uint(n) >= NumFPRegs {
+		badReg("f", n)
+	}
+	return Reg{Class: FPClass, N: int16(n), valid: true}
+}
 
-// VR returns virtual integer register n.
-func VR(n int) Reg { return Reg{Class: IntClass, N: int16(n), Virtual: true, valid: true} }
-
-// VF returns virtual floating-point register n.
-func VF(n int) Reg { return Reg{Class: FPClass, N: int16(n), Virtual: true, valid: true} }
+// badReg is kept out of line so R and F stay inlinable.
+//
+//go:noinline
+func badReg(file string, n int) {
+	panic("ir: register " + file + strconv.Itoa(n) + " out of range")
+}
 
 // Valid reports whether r names a register (as opposed to NoReg).
 func (r Reg) Valid() bool { return r.valid }
 
 // IsZero reports whether r is the hardwired-zero integer register r0.
-func (r Reg) IsZero() bool { return r.valid && !r.Virtual && r.Class == IntClass && r.N == 0 }
+func (r Reg) IsZero() bool { return r.valid && r.Class == IntClass && r.N == 0 }
 
 func (r Reg) String() string { return string(r.AppendText(nil)) }
 
-// AppendText appends r's assembly name (r3, f7, v1, vf2, or "-" for NoReg)
-// to dst and returns the extended buffer.
+// AppendText appends r's assembly name (r3, f7, or "-" for NoReg) to dst
+// and returns the extended buffer.
 func (r Reg) AppendText(dst []byte) []byte {
-	if !r.valid {
-		return append(dst, '-')
-	}
 	switch {
-	case r.Virtual && r.Class == IntClass:
-		dst = append(dst, 'v')
-	case r.Virtual:
-		dst = append(dst, "vf"...)
+	case !r.valid:
+		return append(dst, '-')
 	case r.Class == IntClass:
 		dst = append(dst, 'r')
 	default:
@@ -81,12 +86,12 @@ func (r Reg) AppendText(dst []byte) []byte {
 	return strconv.AppendInt(dst, int64(r.N), 10)
 }
 
-// Index returns a dense index for physical registers: integer registers map
-// to [0,NumIntRegs) and floating-point registers to [NumIntRegs,
-// NumIntRegs+NumFPRegs). It panics on virtual or invalid registers.
+// Index returns a dense index: integer registers map to [0,NumIntRegs) and
+// floating-point registers to [NumIntRegs, NumIntRegs+NumFPRegs). It panics
+// on NoReg.
 func (r Reg) Index() int {
-	if !r.valid || r.Virtual {
-		panic("ir: Index of non-physical register " + r.String())
+	if !r.valid {
+		panic("ir: Index of invalid register")
 	}
 	if r.Class == IntClass {
 		return int(r.N)

@@ -10,7 +10,7 @@ func TestRegConstruction(t *testing.T) {
 		t.Error("NoReg must be invalid")
 	}
 	r := R(5)
-	if !r.Valid() || r.Class != IntClass || r.N != 5 || r.Virtual {
+	if !r.Valid() || r.Class != IntClass || r.N != 5 {
 		t.Errorf("R(5) = %+v", r)
 	}
 	f := F(63)
@@ -20,8 +20,8 @@ func TestRegConstruction(t *testing.T) {
 	if !R(0).IsZero() {
 		t.Error("r0 must be the hardwired zero register")
 	}
-	if R(1).IsZero() || F(0).IsZero() || VR(0).IsZero() {
-		t.Error("only physical integer r0 is the zero register")
+	if R(1).IsZero() || F(0).IsZero() || NoReg.IsZero() {
+		t.Error("only integer r0 is the zero register")
 	}
 }
 
@@ -43,18 +43,38 @@ func TestRegIndexDense(t *testing.T) {
 	}
 }
 
-func TestRegIndexPanicsOnVirtual(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Index on virtual register must panic")
+// TestRegConstructorsRange: R and F accept exactly their file's numbers,
+// so every valid Reg indexes its file; Index refuses NoReg.
+func TestRegConstructorsRange(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, c := range []struct {
+		name string
+		mk   func(int) Reg
+		size int
+	}{{"R", R, NumIntRegs}, {"F", F, NumFPRegs}} {
+		for _, n := range []int{0, c.size - 1} {
+			if r := c.mk(n); !r.Valid() || int(r.N) != n {
+				t.Errorf("%s(%d) = %+v", c.name, n, r)
+			}
 		}
-	}()
-	VR(3).Index()
+		for _, n := range []int{-1, c.size} {
+			if !panics(func() { c.mk(n) }) {
+				t.Errorf("%s(%d) did not panic", c.name, n)
+			}
+		}
+	}
+	if !panics(func() { NoReg.Index() }) {
+		t.Error("NoReg.Index() did not panic")
+	}
 }
 
 func TestRegString(t *testing.T) {
 	cases := map[string]Reg{
-		"r7": R(7), "f12": F(12), "v3": VR(3), "vf4": VF(4), "-": NoReg,
+		"r7": R(7), "f12": F(12), "-": NoReg,
 	}
 	for want, r := range cases {
 		if got := r.String(); got != want {

@@ -233,24 +233,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// CheckPhysical reports the first instruction naming a virtual register.
-// Only the register allocator's input may hold them: liveness, scheduling
-// and both interpreters index the physical register files, so a program
-// from outside (assembly source) must pass this check before any of them
-// runs.
-func (p *Program) CheckPhysical() error {
-	for _, b := range p.Blocks {
-		for i, in := range b.Instrs {
-			for _, r := range [3]ir.Reg{in.Dest, in.Src1, in.Src2} {
-				if r.Valid() && r.Virtual {
-					return fmt.Errorf("prog: block %q instr %d: virtual register %v (only physical registers r0-r63 and f0-f63 can be compiled)", b.Label, i, r)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // String renders the program as assembly text.
 func (p *Program) String() string {
 	var buf []byte

@@ -187,8 +187,8 @@ func TestScheduleAssemblyError(t *testing.T) {
 	}
 }
 
-// virtualSource assembles (asm accepts the register allocator's virtual
-// registers) but names registers no machine has.
+// virtualSource names registers no machine has (v1, vf2); the assembler
+// knows only r0..r63 and f0..f63, so it fails to assemble.
 const virtualSource = `
 entry:
     li   v1, 7

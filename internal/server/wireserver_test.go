@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -176,6 +177,25 @@ func TestWireElementErrorsAreTagged(t *testing.T) {
 	}
 	if el := got[1]; el.status != http.StatusOK {
 		t.Errorf("good sibling caught the error: %d\n%s", el.status, el.payload)
+	}
+}
+
+// TestWireUnknownRegisterIsAssemblyError: inline source naming registers
+// no machine has (virtualSource) fails each wire element with the single
+// endpoints' 422 assembly_error.
+func TestWireUnknownRegisterIsAssemblyError(t *testing.T) {
+	addr := startWireServer(t, New(Config{Workers: 1, RequestTimeout: 2 * time.Second}))
+	req, err := json.Marshal(map[string]any{"source": virtualSource, "model": "sentinel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialWire(t, addr)
+	sendWireFrame(t, conn, &wire.ReqFrame{Elems: []wire.ReqElem{
+		{Tag: 0, Op: wire.OpSchedule, Payload: req},
+		{Tag: 1, Op: wire.OpSimulate, Payload: req},
+	}})
+	for tag, el := range readWireFrame(t, bufio.NewReader(conn)) {
+		checkAssemblyError(t, fmt.Sprintf("wire element %d", tag), el.status, el.payload)
 	}
 }
 

@@ -19,30 +19,22 @@ type pos struct{ block, idx int32 }
 // opRec is an instruction's operands pre-decoded for the simulator's issue
 // path: dense register indices (ir.Reg.Index) of Src1, Src2 and Dest, -1
 // where the operand is absent or r0 (which the scoreboard, the exception
-// tags and the shadow file all ignore), and the opcode's latency. phantom
-// marks an instruction naming a non-physical register: Run panics with
-// ir.Reg.Index's message when (and only if) such an instruction executes.
+// tags and the shadow file all ignore), and the opcode's latency.
 type opRec struct {
 	src1, src2, dest int8
 	lat              uint8
-	phantom          bool
 }
 
 // decodeOps builds in's operand record.
 func decodeOps(in *ir.Instr) opRec {
-	rec := opRec{lat: uint8(machine.Latency(in.Op))}
 	dense := func(r ir.Reg) int8 {
-		switch {
-		case !r.Valid() || r.IsZero():
-			return -1
-		case r.Virtual || r.N < 0 || int(r.N) >= ir.NumIntRegs || int(r.N) >= ir.NumFPRegs:
-			rec.phantom = true
+		if !r.Valid() || r.IsZero() {
 			return -1
 		}
 		return int8(r.Index())
 	}
-	rec.src1, rec.src2, rec.dest = dense(in.Src1), dense(in.Src2), dense(in.Dest)
-	return rec
+	return opRec{src1: dense(in.Src1), src2: dense(in.Src2), dest: dense(in.Dest),
+		lat: uint8(machine.Latency(in.Op))}
 }
 
 // ProgIndex is a dense PC-indexed acceleration structure for Run: per-PC

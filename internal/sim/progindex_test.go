@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"sentinel/internal/ir"
@@ -132,38 +131,4 @@ func TestProgIndexRecoveryLookup(t *testing.T) {
 	if len(res.Out) != 1 || res.Out[0] != 7 {
 		t.Errorf("out = %v, want [7] (re-executed load after repair)", res.Out)
 	}
-}
-
-// TestPhantomRegisterPanicsOnlyWhenExecuted: the operand records are built
-// for every instruction, but a non-physical register must surface exactly
-// as decoding it always did — ir.Reg.Index's panic when the instruction
-// executes — and never at index build or for code that does not run.
-func TestPhantomRegisterPanicsOnlyWhenExecuted(t *testing.T) {
-	build := func(reachable bool) *prog.Program {
-		p := prog.NewProgram()
-		entry := []*ir.Instr{ir.LI(ir.R(1), 7)}
-		if !reachable {
-			entry = append(entry, ir.JMP("done"))
-		}
-		p.AddBlock("entry", entry...)
-		p.AddBlock("dead", ir.ALUI(ir.Add, ir.R(2), ir.VR(3), 1))
-		p.AddBlock("done", ir.JSR("putint", ir.R(1)), ir.HALT())
-		p.Layout()
-		return p
-	}
-	md := machine.Base(2, machine.Sentinel)
-
-	res, err := Run(build(false), md, mem.New(), Options{})
-	if err != nil || len(res.Out) != 1 || res.Out[0] != 7 {
-		t.Fatalf("unexecuted phantom register: out %v, err %v; want [7], nil", res.Out, err)
-	}
-
-	defer func() {
-		r := recover()
-		if msg, _ := r.(string); !strings.Contains(msg, "Index of non-physical register v3") {
-			t.Fatalf("executed phantom register: recovered %v, want ir.Reg.Index's panic", r)
-		}
-	}()
-	Run(build(true), md, mem.New(), Options{})
-	t.Fatal("executing a virtual register did not panic")
 }

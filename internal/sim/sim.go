@@ -180,19 +180,6 @@ func (m *Machine) firstTaggedSrc(op opRec) int8 {
 	return -1
 }
 
-// checkPhysical panics for an instruction naming a register outside the
-// architectural files (its operand record marks it phantom), as decoding
-// the operand would have: ir.Reg.Index's panic for a virtual register, an
-// index fault for one past the end of its file.
-func (m *Machine) checkPhysical(in *ir.Instr) {
-	for _, r := range [...]ir.Reg{in.Src1, in.Src2, in.Dest} {
-		if r.Valid() && !r.IsZero() {
-			r.Index()
-			m.Raw(r)
-		}
-	}
-}
-
 type abort struct {
 	exc Exception
 }
@@ -316,9 +303,6 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			}
 			// Scoreboard check on the pre-decoded source operands: this is
 			// the simulator's per-dynamic-instruction hot path.
-			if op.phantom {
-				m.checkPhysical(in)
-			}
 			if r := op.src1; r >= 0 {
 				if ra := m.readyAt[r]; ra > t {
 					t = ra
