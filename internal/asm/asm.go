@@ -23,6 +23,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sentinel/internal/ir"
 	"sentinel/internal/mem"
@@ -34,8 +35,9 @@ func Parse(src string) (*prog.Program, *mem.Memory, error) {
 	p := prog.NewProgram()
 	m := mem.New()
 	var cur *prog.Block
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := raw
+	for lineNo, rest, more := 0, src, true; more; lineNo++ {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
 		}
@@ -75,7 +77,8 @@ func Parse(src string) (*prog.Program, *mem.Memory, error) {
 }
 
 func directive(line string, m *mem.Memory) error {
-	f := strings.Fields(line)
+	var fb [4]string
+	f := appendFields(fb[:0], line)
 	switch f[0] {
 	case ".seg":
 		if len(f) != 4 {
@@ -123,6 +126,30 @@ func directive(line string, m *mem.Memory) error {
 	}
 }
 
+// appendFields appends strings.Fields(s) to dst.
+func appendFields(dst []string, s string) []string {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.Fields(s)...) // Unicode spaces
+		}
+	}
+	for {
+		s = strings.TrimLeft(s, asciiSpace)
+		if s == "" {
+			return dst
+		}
+		end := strings.IndexAny(s, asciiSpace)
+		if end < 0 {
+			return append(dst, s)
+		}
+		dst = append(dst, s[:end])
+		s = s[end:]
+	}
+}
+
+// asciiSpace is the ASCII white space strings.Fields splits on.
+const asciiSpace = "\t\n\v\f\r "
+
 var opByName = func() map[string]ir.Op {
 	out := map[string]ir.Op{}
 	for op := ir.Nop; ; op++ {
@@ -143,7 +170,8 @@ func ParseInstr(line string) (*ir.Instr, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown opcode %q", name)
 	}
-	args := splitArgs(rest)
+	var argBuf [3]string
+	args := splitArgs(argBuf[:0], rest)
 	in := ir.New(op)
 	switch {
 	case op == ir.Nop || op == ir.Halt:
@@ -213,7 +241,7 @@ func ParseInstr(line string) (*ir.Instr, error) {
 		if in.Src1, err = parseReg(args[0]); err != nil {
 			return nil, err
 		}
-		if r, err2 := parseReg(args[1]); err2 == nil {
+		if r, ok := regName(args[1]); ok {
 			in.Src2 = r
 		} else if in.Imm, err = parseInt(args[1]); err != nil {
 			return nil, fmt.Errorf("bad second operand %q", args[1])
@@ -260,7 +288,7 @@ func ParseInstr(line string) (*ir.Instr, error) {
 		if in.Src1, err = parseReg(args[1]); err != nil {
 			return nil, err
 		}
-		if r, err2 := parseReg(args[2]); err2 == nil {
+		if r, ok := regName(args[2]); ok {
 			in.Src2 = r
 		} else if in.Imm, err = parseInt(args[2]); err != nil {
 			return nil, fmt.Errorf("bad second operand %q", args[2])
@@ -269,31 +297,46 @@ func ParseInstr(line string) (*ir.Instr, error) {
 	return in, nil
 }
 
-func splitArgs(s string) []string {
+// splitArgs appends the comma-separated, space-trimmed operands of s to
+// dst (none when s is blank).
+func splitArgs(dst []string, s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return dst
 	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	for {
+		arg, rest, more := strings.Cut(s, ",")
+		dst = append(dst, strings.TrimSpace(arg))
+		if !more {
+			return dst
+		}
+		s = rest
 	}
-	return parts
 }
 
 // parseReg parses r0..r63 or f0..f63; any other name is a bad register.
 func parseReg(s string) (ir.Reg, error) {
-	if len(s) >= 2 {
-		if n, err := strconv.Atoi(s[1:]); err == nil && n >= 0 {
-			switch {
-			case s[0] == 'r' && n < ir.NumIntRegs:
-				return ir.R(n), nil
-			case s[0] == 'f' && n < ir.NumFPRegs:
-				return ir.F(n), nil
-			}
-		}
+	if r, ok := regName(s); ok {
+		return r, nil
 	}
 	return ir.NoReg, fmt.Errorf("bad register %q", s)
+}
+
+// regName is parseReg without the error, for an operand that may be a
+// register or an immediate.
+func regName(s string) (ir.Reg, bool) {
+	if len(s) < 2 || s[0] != 'r' && s[0] != 'f' {
+		return ir.NoReg, false
+	}
+	if n, err := strconv.Atoi(s[1:]); err == nil && n >= 0 {
+		switch {
+		case s[0] == 'r' && n < ir.NumIntRegs:
+			return ir.R(n), true
+		case s[0] == 'f' && n < ir.NumFPRegs:
+			return ir.F(n), true
+		}
+	}
+	return ir.NoReg, false
 }
 
 // parseMemOperand parses "off(base)".
@@ -331,34 +374,39 @@ func FormatScheduled(p *prog.Program) string {
 		n += len(b.Instrs)
 	}
 	// Presized for typical lines so one buffer holds the whole listing.
-	buf := make([]byte, 0, 48*n+48*len(p.Blocks))
+	return string(AppendScheduled(make([]byte, 0, 48*n+48*len(p.Blocks)), p))
+}
+
+// AppendScheduled appends FormatScheduled's listing of p to dst and returns
+// the extended buffer.
+func AppendScheduled(dst []byte, p *prog.Program) []byte {
 	for _, b := range p.Blocks {
-		buf = append(buf, b.Label...)
-		buf = append(buf, ':')
+		dst = append(dst, b.Label...)
+		dst = append(dst, ':')
 		if b.Superblock {
-			buf = append(buf, "  ; superblock, weight "...)
-			buf = strconv.AppendInt(buf, b.WeightHint, 10)
+			dst = append(dst, "  ; superblock, weight "...)
+			dst = strconv.AppendInt(dst, b.WeightHint, 10)
 		}
-		buf = append(buf, '\n')
+		dst = append(dst, '\n')
 		for _, in := range b.Instrs {
 			if in.Cycle >= 0 {
-				buf = append(buf, "  ["...)
+				dst = append(dst, "  ["...)
 				switch {
 				case in.Cycle < 10:
-					buf = append(buf, "  "...)
+					dst = append(dst, "  "...)
 				case in.Cycle < 100:
-					buf = append(buf, ' ')
+					dst = append(dst, ' ')
 				}
-				buf = strconv.AppendInt(buf, int64(in.Cycle), 10)
-				buf = append(buf, '.')
-				buf = strconv.AppendInt(buf, int64(in.Slot), 10)
-				buf = append(buf, "] "...)
+				dst = strconv.AppendInt(dst, int64(in.Cycle), 10)
+				dst = append(dst, '.')
+				dst = strconv.AppendInt(dst, int64(in.Slot), 10)
+				dst = append(dst, "] "...)
 			} else {
-				buf = append(buf, "          "...)
+				dst = append(dst, "          "...)
 			}
-			buf = in.AppendText(buf)
-			buf = append(buf, '\n')
+			dst = in.AppendText(dst)
+			dst = append(dst, '\n')
 		}
 	}
-	return string(buf)
+	return dst
 }

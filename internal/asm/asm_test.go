@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,6 +193,28 @@ func TestVirtualRegisterSyntax(t *testing.T) {
 			t.Errorf("%s: %v", c.text, err)
 		} else if in.Dest != c.want {
 			t.Errorf("%s: dest %v, want %v", c.text, in.Dest, c.want)
+		}
+	}
+}
+
+// TestFieldSplittersMatchStrings pins the allocation-free splitters to the
+// strings functions they replace.
+func TestFieldSplittersMatchStrings(t *testing.T) {
+	for _, s := range []string{"", " ", ".word 4096 7", "  .seg\tin 0x1000  64 ", ".fp\v8\f1.5\r",
+		".word 1 2 3 4 5 6", ".word 1 2", ".seg a 1 2", "x\u0085y z"} {
+		if got, want := appendFields(nil, s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("appendFields(%q) = %q, want %q", s, got, want)
+		}
+	}
+	for _, s := range []string{"", "  ", "r1", "r1, r2", " r1 ,r2,  8 ", "a,,b", "a,", ",", "x, y, z, w"} {
+		var want []string
+		if ts := strings.TrimSpace(s); ts != "" {
+			for _, p := range strings.Split(ts, ",") {
+				want = append(want, strings.TrimSpace(p))
+			}
+		}
+		if got := splitArgs(nil, s); !slices.Equal(got, want) {
+			t.Errorf("splitArgs(%q) = %q, want %q", s, got, want)
 		}
 	}
 }

@@ -267,3 +267,14 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// prepare is prepareOwned on a clone of p, returning the clone: the block
+// scheduler's inputs for one kernel, leaving p untouched.
+func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Liveness, *alias.Provenance, Stats, error) {
+	p = p.Clone()
+	lv, pv, stats, err := prepareOwned(p, md)
+	if err != nil {
+		return nil, nil, nil, stats, err
+	}
+	return p, lv, pv, stats, nil
+}

@@ -25,7 +25,7 @@ import (
 // scheduler. Exported for the differential tests in this package and in
 // internal/eval; production callers use Schedule.
 func ScheduleReference(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
-	return compile(p, md, refScheduleBlock)
+	return compile(p.Clone(), md, refScheduleBlock)
 }
 
 type refScheduler struct {

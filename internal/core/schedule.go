@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sentinel/internal/alias"
 	"sentinel/internal/dataflow"
@@ -74,6 +73,13 @@ func (s *Stats) add(o Stats) {
 // modified) with Cycle/Slot assigned on every instruction and sentinels
 // inserted as needed.
 func Schedule(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
+	return compile(p.Clone(), md, scheduleBlock)
+}
+
+// ScheduleOwned is Schedule for a program the caller owns and gives up: p
+// is scheduled in place, without Schedule's copy, and the result is p
+// itself. Nothing else may hold p or its blocks and instructions.
+func ScheduleOwned(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
 	return compile(p, md, scheduleBlock)
 }
 
@@ -81,9 +87,10 @@ func Schedule(p *prog.Program, md machine.Desc) (*prog.Program, Stats, error) {
 // seed scheduler's refScheduleBlock.
 type blockScheduler func(*prog.Block, *dataflow.Liveness, *alias.Provenance, machine.Desc) (Stats, error)
 
-// compile runs the whole-program pipeline around a block scheduler.
+// compile runs the whole-program pipeline around a block scheduler,
+// rewriting p in place.
 func compile(p *prog.Program, md machine.Desc, schedBlock blockScheduler) (*prog.Program, Stats, error) {
-	p, lv, pv, stats, err := prepare(p, md)
+	lv, pv, stats, err := prepareOwned(p, md)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -104,16 +111,14 @@ func compile(p *prog.Program, md machine.Desc, schedBlock blockScheduler) (*prog
 	return p, stats, nil
 }
 
-// prepare validates md and returns the clone of p that block scheduling
-// works on — recovery renaming applied and exception-tag resets inserted —
-// with its liveness and pointer provenance.
-func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Liveness, *alias.Provenance, Stats, error) {
+// prepareOwned validates md and readies p for block scheduling in place —
+// recovery renaming applied and exception-tag resets inserted — returning
+// its liveness and pointer provenance.
+func prepareOwned(p *prog.Program, md machine.Desc) (*dataflow.Liveness, *alias.Provenance, Stats, error) {
 	var stats Stats
 	if err := md.Validate(); err != nil {
-		return nil, nil, nil, stats, err
+		return nil, nil, stats, err
 	}
-	p = p.Clone()
-
 	if md.Recovery {
 		for _, b := range p.Blocks {
 			if b.Superblock {
@@ -127,7 +132,7 @@ func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Livenes
 		stats.ClearTags += insertClearTags(p, lv)
 		lv = dataflow.Compute(p) // ClearTags define registers
 	}
-	return p, lv, alias.Analyze(p), stats, nil
+	return lv, alias.Analyze(p), stats, nil
 }
 
 // insertClearTags prepends ClearTag instructions to the entry block for
@@ -265,17 +270,27 @@ func scheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, m
 	g := depgraph.Build(b, lv, pv)
 	g.Reduce(md)
 	n := len(g.Nodes)
+	// Per-node state is cut from three slabs. Each per-ID array has room
+	// for n inserted nodes before addNode's appends move it; the control
+	// lists start empty with room for n entries, the heaps with n/2.
+	is := make([]int32, 12*n)
+	bs := make([]bool, 4*n)
+	hs := make([]heapEnt, n)
 	s := &scheduler{
-		g:        g,
-		pv:       pv,
-		md:       md,
-		cycleOf:  make([]int32, n, 2*n),
-		slotOf:   make([]int32, n, 2*n),
-		height:   make([]int32, n, 2*n),
-		done:     make([]bool, n, 2*n),
-		released: make([]bool, n, 2*n),
-		indeg:    make([]int32, n, 2*n),
-		gen:      make([]int32, n, 2*n),
+		g:         g,
+		pv:        pv,
+		md:        md,
+		cycleOf:   is[0 : n : 2*n],
+		slotOf:    is[2*n : 3*n : 4*n],
+		height:    is[4*n : 5*n : 6*n],
+		indeg:     is[6*n : 7*n : 8*n],
+		gen:       is[8*n : 9*n : 10*n],
+		ctrlIdx:   is[10*n : 10*n : 11*n],
+		branchIdx: is[11*n : 11*n : 12*n],
+		done:      bs[0 : n : 2*n],
+		released:  bs[2*n : 3*n : 4*n],
+		readyNow:  hs[0 : 0 : n/2],
+		future:    hs[n/2 : n/2 : n],
 
 		unscheduled: n,
 	}
@@ -945,28 +960,28 @@ func (s *scheduler) pendingBranchesAbove(nd *depgraph.Node) int {
 
 // emit rewrites the block's instructions in schedule order and resolves
 // confirm_store indices: the number of stores between a speculative store
-// and its confirm in the final schedule (§4.2).
+// and its confirm in the final schedule (§4.2). Every (cycle, slot) pair is
+// issued at most once, so each node is placed directly at
+// cycle*width+slot; compacting the placement table gives schedule order.
 func (s *scheduler) emit(b *prog.Block) {
 	n := len(s.g.Nodes)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	width := int32(s.md.IssueWidth)
+	scratch := make([]int32, n+int(s.cycle*width))
+	pos, at := scratch[:n], scratch[n:] // at holds node ID + 1; 0 marks an empty slot
+	for id := range n {
+		at[s.cycleOf[id]*width+s.slotOf[id]] = int32(id) + 1
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, c := order[i], order[j]
-		if s.cycleOf[a] != s.cycleOf[c] {
-			return s.cycleOf[a] < s.cycleOf[c]
+	instrs := make([]*ir.Instr, 0, n)
+	for _, e := range at {
+		if e == 0 {
+			continue
 		}
-		return s.slotOf[a] < s.slotOf[c]
-	})
-	instrs := make([]*ir.Instr, n)
-	pos := make([]int32, n)
-	for i, id := range order {
+		id := e - 1
 		nd := s.g.Nodes[id]
 		nd.Instr.Cycle = int(s.cycleOf[id])
 		nd.Instr.Slot = int(s.slotOf[id])
-		instrs[i] = nd.Instr
-		pos[id] = int32(i)
+		pos[id] = int32(len(instrs))
+		instrs = append(instrs, nd.Instr)
 	}
 	for _, pr := range s.pairs {
 		cnt := int64(0)

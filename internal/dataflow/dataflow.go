@@ -127,34 +127,56 @@ func blockUseDef(b *prog.Block) (use, def RegSet) {
 
 // Compute runs the standard backward iterative live-variable analysis on p.
 // It works on both basic-block programs and superblock programs (where
-// side-exit branches contribute their targets as successors).
+// side-exit branches contribute their targets as successors). The fixpoint
+// runs over block indices: successor edges are resolved once, so an
+// iteration allocates nothing.
 func Compute(p *prog.Program) *Liveness {
-	lv := &Liveness{
-		In:  make(map[string]RegSet, len(p.Blocks)),
-		Out: make(map[string]RegSet, len(p.Blocks)),
-		p:   p,
+	n := len(p.Blocks)
+	index := make(map[string]int32, n)
+	for i, b := range p.Blocks {
+		index[b.Label] = int32(i)
 	}
-	use := make(map[string]RegSet, len(p.Blocks))
-	def := make(map[string]RegSet, len(p.Blocks))
-	for _, b := range p.Blocks {
-		use[b.Label], def[b.Label] = blockUseDef(b)
+	// Block i's successors are succ[off[i]:off[i+1]]; a target no block
+	// defines contributes nothing, as an absent live-in set would.
+	off := make([]int32, n+1)
+	succ := make([]int32, 0, 2*n)
+	var lb [4]string
+	labels := lb[:0]
+	for i, b := range p.Blocks {
+		labels = p.AppendSuccessors(labels[:0], b)
+		for _, l := range labels {
+			if j, ok := index[l]; ok {
+				succ = append(succ, j)
+			}
+		}
+		off[i+1] = int32(len(succ))
+	}
+	sets := make([]RegSet, 4*n)
+	use, def, in, out := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n:]
+	for i, b := range p.Blocks {
+		use[i], def[i] = blockUseDef(b)
 	}
 	for changed := true; changed; {
 		changed = false
 		// Reverse program order converges quickly for mostly-forward CFGs.
-		for i := len(p.Blocks) - 1; i >= 0; i-- {
-			b := p.Blocks[i]
-			var out RegSet
-			for _, s := range p.Successors(b) {
-				out = out.Union(lv.In[s])
+		for i := n - 1; i >= 0; i-- {
+			var o RegSet
+			for _, j := range succ[off[i]:off[i+1]] {
+				o = o.Union(in[j])
 			}
-			in := use[b.Label].Union(out.Diff(def[b.Label]))
-			if out != lv.Out[b.Label] || in != lv.In[b.Label] {
-				lv.Out[b.Label] = out
-				lv.In[b.Label] = in
+			if ni := use[i].Union(o.Diff(def[i])); o != out[i] || ni != in[i] {
+				out[i], in[i] = o, ni
 				changed = true
 			}
 		}
+	}
+	lv := &Liveness{
+		In:  make(map[string]RegSet, n),
+		Out: make(map[string]RegSet, n),
+		p:   p,
+	}
+	for i, b := range p.Blocks {
+		lv.In[b.Label], lv.Out[b.Label] = in[i], out[i]
 	}
 	return lv
 }

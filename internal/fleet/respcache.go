@@ -13,9 +13,10 @@ package fleet
 // request. The canonical key is stricter here than the routing key: routing
 // may be lax (a misrouted request is merely slower), but serving a cached
 // 200 for a request the backend would have refused breaks the byte-identity
-// contract. canonCacheKey therefore re-decodes with the backends' own
-// strictness (DisallowUnknownFields over the shared request structs, the
-// wrapper's timeout_ms validation) and applies the backends' bypass rules:
+// contract. canonCacheKey therefore decodes with the backends' own
+// request codec and strictness (DisallowUnknownFields over the shared
+// request structs, the wrapper's timeout_ms validation) and applies the
+// backends' bypass rules:
 // `full` and `fault_segment` requests are never probed or filled, only 200
 // envelopes are stored. A request that fails the strict gate still routes
 // on the lax key — it just always takes the proxied hop, and its non-200
@@ -35,7 +36,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -95,30 +95,18 @@ func cacheProbeable(method, path string, body []byte) bool {
 // not determine — an undecodable or unknown-field body, an unresolvable
 // machine, a bypass op, an invalid timeout_ms — so a cached 200 can never
 // mask a refusal the direct path would have produced. When ok, the key
-// equals the routing key (both reduce to the shared fingerprint encoders).
+// equals the routing key: one decode feeds both (bodyRouteKey).
 func canonCacheKey(method, path, rawQuery string, body []byte) (fingerprint.Key, bool) {
 	if !validTimeoutQuery(rawQuery) {
 		return fingerprint.Key{}, false
 	}
 	switch path {
-	case "/v1/simulate":
+	case "/v1/simulate", "/v1/schedule":
 		if method != http.MethodPost {
 			return fingerprint.Key{}, false
 		}
-		var req server.SimulateRequest
-		if !strictDecode(body, &req) || req.Full || req.FaultSegment != "" {
-			return fingerprint.Key{}, false
-		}
-		return simulateRouteKey(body)
-	case "/v1/schedule":
-		if method != http.MethodPost {
-			return fingerprint.Key{}, false
-		}
-		var req server.ScheduleRequest
-		if !strictDecode(body, &req) {
-			return fingerprint.Key{}, false
-		}
-		return scheduleRouteKey(body)
+		k, strict, ok := bodyRouteKey(body, path == "/v1/schedule")
+		return k, ok && strict
 	case "/v1/figures":
 		if method != http.MethodGet {
 			return fingerprint.Key{}, false
@@ -126,15 +114,6 @@ func canonCacheKey(method, path, rawQuery string, body []byte) (fingerprint.Key,
 		return figuresRouteKey(rawQuery)
 	}
 	return fingerprint.Key{}, false
-}
-
-// strictDecode mirrors the backends' decodeBody strictness: unknown fields
-// refuse, so the canonical key is only trusted for bodies the backend will
-// accept.
-func strictDecode(body []byte, into any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(into) == nil
 }
 
 // validTimeoutQuery mirrors the backends' v1-wrapper timeout_ms check: a

@@ -146,3 +146,44 @@ func TestCanonCacheKeyGate(t *testing.T) {
 		t.Error("figures GET failed the canonical gate")
 	}
 }
+
+// TestCanonCacheKeyOneDecode pins the canonical lane to the backends'
+// strictness after the router's single decode: textual variants share the
+// key, and a body the backend would refuse, a bypass op, or bytes after the
+// object never get it — though each still routes, canonically or raw.
+func TestCanonCacheKeyOneDecode(t *testing.T) {
+	const path = "/v1/simulate"
+	base := []byte(`{"workload":"cmp","model":"sentinel","width":8}`)
+	want, ok := canonCacheKey("POST", path, "", base)
+	if !ok {
+		t.Fatal("canonical body refused")
+	}
+	if k := httpRouteKey("POST", path, "", base); k != want {
+		t.Error("route key differs from the canonical cache key")
+	}
+	for _, variant := range []string{
+		` { "width" : 8, "model" : "sentinel", "workload" : "cmp" } ` + "\n",
+		`{"workload":"cmp","model":"sentinel"}`,
+		`{"workload":"cmp","model":"sentinel","width":8}`,
+	} {
+		if k, ok := canonCacheKey("POST", path, "", []byte(variant)); !ok || k != want {
+			t.Errorf("%s: canonical key ok=%v, want the base key", variant, ok)
+		}
+	}
+	for _, c := range []struct {
+		body      string
+		canonical bool // routes on the canonical key
+	}{
+		{`{"workload":"cmp","model":"sentinel","width":8,"extra":1}`, true},
+		{`{"workload":"cmp","model":"sentinel","width":8,"full":true}`, true},
+		{`{"workload":"cmp","model":"sentinel","width":8} trailing`, false},
+		{`{"workload":"cmp","model":"sentinel","width":8}{}`, false},
+	} {
+		if _, ok := canonCacheKey("POST", path, "", []byte(c.body)); ok {
+			t.Errorf("%s: canonical cache lane accepted it", c.body)
+		}
+		if got := httpRouteKey("POST", path, "", []byte(c.body)) == want; got != c.canonical {
+			t.Errorf("%s: routes on the canonical key = %v, want %v", c.body, got, c.canonical)
+		}
+	}
+}

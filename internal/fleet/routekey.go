@@ -11,11 +11,14 @@ package fleet
 // on the same backend, so even malformed-request error envelopes get
 // response-cache affinity), just blind to textual variation.
 //
-// The router's decode is routing-only and deliberately lax — no
-// DisallowUnknownFields, no required-field policing beyond what the key
-// needs. The backend remains the sole authority on request validity; a
-// request the backend will reject still routes deterministically and comes
-// back with the backend's own envelope, byte-identical to a direct call.
+// The router decodes each body once, with the backends' request codec
+// (server.DecodeSimulateRequest and friends); that one result feeds both
+// the route key and the front cache's canonical lane. A body the strict
+// codec refuses is routed by a lax decode — no DisallowUnknownFields, no
+// required-field policing beyond what the key needs. The backend remains
+// the sole authority on request validity; a request the backend will
+// reject still routes deterministically and comes back with the backend's
+// own envelope, byte-identical to a direct call.
 
 import (
 	"encoding/binary"
@@ -24,6 +27,7 @@ import (
 
 	"sentinel/internal/fingerprint"
 	"sentinel/internal/machine"
+	"sentinel/internal/server"
 )
 
 // routeReq is the union of the simulate/schedule request fields the
@@ -37,42 +41,49 @@ type routeReq struct {
 	Superblock *bool  `json:"superblock"`
 }
 
-// decodeRouteReq decodes body for routing. ok is false when the body does
-// not decode or does not resolve to one canonical (program, machine) pair.
-func decodeRouteReq(body []byte) (q routeReq, md machine.Desc, ok bool) {
-	if json.Unmarshal(body, &q) != nil {
-		return q, md, false
+// bodyRouteKey fingerprints a simulate (schedule false) or schedule body
+// canonically. It decodes once, through the backends' request codec; a body
+// the codec accepts with nothing after it (its exact verdict) decodes to
+// the fields the lax decode would give, and any other body falls back to
+// the lax json.Unmarshal. ok is false when the body does not decode or does
+// not resolve to one canonical (program, machine) pair. strict reports that
+// the backend accepts the body and answers it from this key alone — not a
+// bypass op (see canonCacheKey). Fault-injected and Full simulates share
+// the plain run's key on purpose: they are uncacheable, but their compile
+// artifacts are the same, so owner affinity is still exactly right.
+func bodyRouteKey(body []byte, schedule bool) (k fingerprint.Key, strict, ok bool) {
+	var q routeReq
+	decoded := false
+	if schedule {
+		var req server.ScheduleRequest
+		if exact, err := server.DecodeScheduleRequest(body, &req); exact && err == nil {
+			q = routeReq{Workload: req.Workload, Source: req.Source, Model: req.Model,
+				Predictor: req.Predictor, Width: req.Width, Superblock: req.Superblock}
+			decoded, strict = true, true
+		}
+	} else {
+		var req server.SimulateRequest
+		if exact, err := server.DecodeSimulateRequest(body, &req); exact && err == nil {
+			q = routeReq{Workload: req.Workload, Source: req.Source, Model: req.Model,
+				Predictor: req.Predictor, Width: req.Width}
+			decoded, strict = true, !req.Full && req.FaultSegment == ""
+		}
+	}
+	if !decoded && json.Unmarshal(body, &q) != nil {
+		return k, false, false
 	}
 	if (q.Workload == "") == (q.Source == "") {
-		return q, md, false // zero or both: the backend owns the error
+		return k, false, false // zero or both: the backend owns the error
 	}
 	md, err := machine.Resolve(q.Model, q.Width, q.Predictor)
 	if err != nil {
-		return q, md, false
+		return k, false, false
 	}
-	return q, md, true
-}
-
-// simulateRouteKey fingerprints a simulate body canonically. Fault-injected
-// and Full runs share the plain run's key on purpose: they are uncacheable,
-// but their compile artifacts are the same, so owner affinity is still
-// exactly right.
-func simulateRouteKey(body []byte) (fingerprint.Key, bool) {
-	q, md, ok := decodeRouteReq(body)
-	if !ok {
-		return fingerprint.Key{}, false
+	if schedule {
+		form := q.Superblock == nil || *q.Superblock
+		return fingerprint.Schedule(q.Workload, q.Source, md, form), strict, true
 	}
-	return fingerprint.Simulate(q.Workload, q.Source, md), true
-}
-
-// scheduleRouteKey fingerprints a schedule body canonically.
-func scheduleRouteKey(body []byte) (fingerprint.Key, bool) {
-	q, md, ok := decodeRouteReq(body)
-	if !ok {
-		return fingerprint.Key{}, false
-	}
-	form := q.Superblock == nil || *q.Superblock
-	return fingerprint.Schedule(q.Workload, q.Source, md, form), true
+	return fingerprint.Simulate(q.Workload, q.Source, md), strict, true
 }
 
 // figuresRouteKey fingerprints a /v1/figures query by its resolved section
@@ -132,12 +143,8 @@ func figuresRouteKey(rawQuery string) (fingerprint.Key, bool) {
 // completion order).
 func httpRouteKey(method, path, rawQuery string, body []byte) fingerprint.Key {
 	switch {
-	case method == "POST" && path == "/v1/simulate":
-		if k, ok := simulateRouteKey(body); ok {
-			return k
-		}
-	case method == "POST" && path == "/v1/schedule":
-		if k, ok := scheduleRouteKey(body); ok {
+	case method == "POST" && (path == "/v1/simulate" || path == "/v1/schedule"):
+		if k, _, ok := bodyRouteKey(body, path == "/v1/schedule"); ok {
 			return k
 		}
 	case method == "GET" && path == "/v1/figures":
@@ -152,14 +159,11 @@ func httpRouteKey(method, path, rawQuery string, body []byte) fingerprint.Key {
 // the element's HTTP-twin path, so an undecodable payload still lands on
 // the same backend whether it arrives framed or as a single POST.
 func wireRouteKey(op byte, payload []byte) fingerprint.Key {
-	if op == opScheduleByte {
-		if k, ok := scheduleRouteKey(payload); ok {
-			return k
-		}
-		return fingerprint.RawRequest("/v1/schedule", "", payload)
-	}
-	if k, ok := simulateRouteKey(payload); ok {
+	if k, _, ok := bodyRouteKey(payload, op == opScheduleByte); ok {
 		return k
+	}
+	if op == opScheduleByte {
+		return fingerprint.RawRequest("/v1/schedule", "", payload)
 	}
 	return fingerprint.RawRequest("/v1/simulate", "", payload)
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 )
 
 // maxBody bounds one buffered response body, far above any real envelope
@@ -78,6 +79,7 @@ func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
 		http10 := sl[7] == '0'
 		r.Status = int(sl[9]-'0')*100 + int(sl[10]-'0')*10 + int(sl[11]-'0')
 		clen, te, chunked, closeTok, keepTok := -1, 0, false, false, false
+		c0, c1 := 0, 0 // the first Content-Length value, in r.hdr
 		r.hdr, r.pairs = r.hdr[:0], r.pairs[:0]
 		for {
 			h, err := br.ReadSlice('\n')
@@ -88,21 +90,26 @@ func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
 			if len(h) == 0 {
 				break
 			}
-			// A line opening with whitespace is an obs-fold continuation,
-			// which would change the previous header's value; refuse it.
-			colon := bytes.IndexByte(h, ':')
-			if colon < 0 || h[0] == ' ' || h[0] == '\t' {
+			name, val, ok := splitHeader(h)
+			if !ok {
 				return true, fmt.Errorf("malformed header line %q", h)
 			}
-			name, val := h[:colon], trimOWS(h[colon+1:])
 			switch {
 			case asciiFold(name, "content-length"):
 				n, ok := parseUint(val, 10)
 				if !ok {
 					return true, fmt.Errorf("malformed Content-Length %q", val)
 				}
-				if clen >= 0 && n != clen {
-					return true, fmt.Errorf("conflicting Content-Length headers %d and %d", clen, n)
+				// Repeats must be spelled alike, as net/http requires: 5
+				// and 05 are conflicting headers. The first spelling is
+				// kept in hdr, outside any recorded pair.
+				if clen >= 0 && !bytes.Equal(val, r.hdr[c0:c1]) {
+					return true, fmt.Errorf("conflicting Content-Length headers %q and %q", r.hdr[c0:c1], val)
+				}
+				if clen < 0 {
+					c0 = len(r.hdr)
+					r.hdr = append(r.hdr, val...)
+					c1 = len(r.hdr)
 				}
 				clen = n
 			case asciiFold(name, "transfer-encoding"):
@@ -197,6 +204,9 @@ func (r *Response) readChunked(br *bufio.Reader) error {
 				case len(t) == 1:
 					return fmt.Errorf("chunked body ends in a bare LF")
 				}
+				if _, _, ok := splitHeader(trimLine(t)); !ok {
+					return fmt.Errorf("malformed trailer line %q", trimLine(t))
+				}
 			}
 		}
 		if len(r.Body)+n > maxBody {
@@ -260,6 +270,40 @@ func (r *Response) AddHeaders(dst http.Header) {
 		dst.Add(string(r.hdr[p.n0:p.n1]), string(r.hdr[p.v0:p.v1]))
 	}
 }
+
+// splitHeader splits a header or trailer line (CRLF trimmed) into its name
+// and OWS-trimmed value. ok is false for any line net/http refuses: no
+// colon, an empty name or one with a non-token byte (a leading space, the
+// obs-fold continuation that would change the previous header's value,
+// among them), or a control byte other than tab in the value.
+func splitHeader(h []byte) (name, val []byte, ok bool) {
+	colon := bytes.IndexByte(h, ':')
+	if colon <= 0 {
+		return nil, nil, false
+	}
+	for _, c := range h[:colon] {
+		if !isTokenByte(c) {
+			return nil, nil, false
+		}
+	}
+	for _, c := range h[colon+1:] {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return nil, nil, false
+		}
+	}
+	return h[:colon], trimOWS(h[colon+1:]), true
+}
+
+// isTokenByte reports whether c may appear in an RFC 7230 token.
+func isTokenByte(c byte) bool { return tokenBytes[c] }
+
+var tokenBytes = func() (t [256]bool) {
+	for c := range t {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c < 0x80 && c != 0 && strings.IndexByte("!#$%&'*+-.^_`|~", byte(c)) >= 0
+	}
+	return t
+}()
 
 // trimLine strips the CRLF (or bare LF) ReadSlice leaves on.
 func trimLine(b []byte) []byte {

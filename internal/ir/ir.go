@@ -431,12 +431,8 @@ func (i *Instr) SelfModifying() bool {
 	if !ok {
 		return false
 	}
-	for _, u := range i.Uses() {
-		if u == d {
-			return true
-		}
-	}
-	return false
+	u1, u2 := i.Uses2()
+	return u1 == d || u2 == d
 }
 
 func (i *Instr) String() string { return string(i.AppendText(nil)) }

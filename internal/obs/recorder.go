@@ -51,13 +51,14 @@ const (
 	StageRoute                   // fleet router: fingerprint + ring/spill decision
 	StageProxy                   // fleet router: proxied hop to the chosen backend
 	StageFleetCache              // fleet router: front response-cache lookup/serve
+	StageDecode                  // request body decode
 	numStages
 )
 
 var stageNames = [numStages]string{
 	"admission", "respcache", "sfwait", "sfown",
 	"compile", "schedule", "simulate", "encode", "batch",
-	"route", "proxy", "fcache",
+	"route", "proxy", "fcache", "decode",
 }
 
 func (s Stage) String() string {

@@ -58,10 +58,11 @@ func (b *Block) Branches() []int {
 //
 // Concurrency: a Program is not safe for concurrent mutation, but once fully
 // constructed (and laid out, if PCs are needed) every read-only method —
-// Block, BlockIndex, InstrAt, Successors, Clone, String, Validate — may be
-// called from multiple goroutines simultaneously. The evaluation runner
-// shares built and formed programs across workers on this guarantee;
-// mutating consumers (the scheduler, formation) clone first.
+// Block, BlockIndex, InstrAt, AppendSuccessors, Clone, String, Validate —
+// may be called from multiple goroutines simultaneously. The evaluation
+// runner shares built and formed programs across workers on this guarantee;
+// mutating consumers (the scheduler, formation) clone first, except on a
+// program its owner hands over (core.ScheduleOwned, superblock.FormOwned).
 type Program struct {
 	Blocks []*Block
 	Entry  string
@@ -168,25 +169,20 @@ func (p *Program) InstrAt(pc int) (*ir.Instr, *Block, int) {
 	return nil, nil, -1
 }
 
-// Successors returns the labels a block can transfer control to: every
-// branch/jump target plus fall-through to the next block (unless the block
-// ends in an unconditional transfer or halt).
-func (p *Program) Successors(b *Block) []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(l string) {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
+// AppendSuccessors appends the labels a block can transfer control to —
+// every branch/jump target plus fall-through to the next block (unless the
+// block ends in an unconditional transfer or halt), each once — to dst and
+// returns the extended slice. With a dst of enough capacity it does not
+// allocate.
+func (p *Program) AppendSuccessors(dst []string, b *Block) []string {
+	start := len(dst)
 	fallsThrough := true
 	for i, in := range b.Instrs {
 		switch {
 		case ir.IsBranch(in.Op):
-			add(in.Target)
+			dst = appendNew(dst, start, in.Target)
 		case in.Op == ir.Jmp:
-			add(in.Target)
+			dst = appendNew(dst, start, in.Target)
 			if i == len(b.Instrs)-1 {
 				fallsThrough = false
 			}
@@ -198,10 +194,20 @@ func (p *Program) Successors(b *Block) []string {
 	}
 	if fallsThrough {
 		if idx := p.BlockIndex(b.Label); idx >= 0 && idx+1 < len(p.Blocks) {
-			add(p.Blocks[idx+1].Label)
+			dst = appendNew(dst, start, p.Blocks[idx+1].Label)
 		}
 	}
-	return out
+	return dst
+}
+
+// appendNew appends l to dst unless dst[start:] already holds it.
+func appendNew(dst []string, start int, l string) []string {
+	for _, s := range dst[start:] {
+		if s == l {
+			return dst
+		}
+	}
+	return append(dst, l)
 }
 
 // Validate checks structural well-formedness: a nonempty entry block, all

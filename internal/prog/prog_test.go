@@ -104,7 +104,7 @@ func TestLayoutAndInstrAt(t *testing.T) {
 
 func TestSuccessors(t *testing.T) {
 	p := sumProgram(0x1000, 1)
-	succ := func(label string) []string { return p.Successors(p.Block(label)) }
+	succ := func(label string) []string { return p.AppendSuccessors(nil, p.Block(label)) }
 	if s := succ("entry"); len(s) != 1 || s[0] != "loop" {
 		t.Errorf("entry succ = %v", s)
 	}
@@ -116,6 +116,10 @@ func TestSuccessors(t *testing.T) {
 	}
 	if s := succ("done"); len(s) != 0 {
 		t.Errorf("done succ = %v (halt has no successors)", s)
+	}
+	// Appending keeps dst and dedupes only what it appends.
+	if s := p.AppendSuccessors([]string{"loop"}, p.Block("body")); len(s) != 2 || s[0] != "loop" || s[1] != "loop" {
+		t.Errorf("append to [loop] = %v, want [loop loop]", s)
 	}
 }
 

@@ -166,33 +166,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	putEnc(e)
 }
 
-// writeJSONCaching is writeJSON for success responses that may enter the
-// response-byte cache: when cacheable, the encoded bytes are copied into
-// the cache under the canonical key — and under the raw-request key the v1
-// wrapper stashed, so a byte-identical repeat short-circuits before decode
-// — before being written; the next identical request is a single Write of
-// these exact bytes.
-func (s *Server) writeJSONCaching(w http.ResponseWriter, r *http.Request, key respKey, cacheable bool, v any) {
-	rd := obs.RecordFrom(r.Context())
-	rd.Start(obs.StageEncode, obs.ArgNone)
-	defer rd.End()
-	e := getEnc()
-	if err := e.enc.Encode(v); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{
-			Error: apiErrorf(http.StatusInternalServerError, KindInternal,
-				"response encoding failed: %v", err)})
-		return // drop the poisoned encoder pair
-	}
+// writeBody writes a success response body. When cacheable, body itself
+// goes into the response-byte cache under the canonical key — and under the
+// raw-request key the v1 wrapper stashed, so a byte-identical repeat
+// short-circuits before decode — and the next identical request is a single
+// Write of these exact bytes. A cached body must never be written to again.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, key respKey, cacheable bool, body []byte) {
 	if cacheable {
-		body := append([]byte(nil), e.buf.Bytes()...)
 		s.resp.Put(key, body, jsonContentType)
 		if rk, ok := rawKeyFrom(r.Context()); ok {
 			s.resp.Put(rk, body, jsonContentType)
 		}
 	}
 	w.Header().Set("Content-Type", jsonContentType)
-	w.Write(e.buf.Bytes()) //nolint:errcheck // client gone; nothing left to do
-	putEnc(e)
+	w.Write(body) //nolint:errcheck // client gone; nothing left to do
+}
+
+// writeSimulate encodes and writes a simulate response. It is appended into
+// pooled scratch; a cacheable response is copied out at its exact size, the
+// one copy the cache keeps. A response encoding/json would refuse (a
+// non-finite IPC) gets encoding/json's 500 envelope.
+func (s *Server) writeSimulate(w http.ResponseWriter, r *http.Request, key respKey, cacheable bool, resp *SimulateResponse) {
+	rd := obs.RecordFrom(r.Context())
+	rd.Start(obs.StageEncode, obs.ArgNone)
+	defer rd.End()
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
+	var ok bool
+	if fb.b, ok = appendSimulateResponse(fb.b[:0], resp); !ok {
+		writeJSON(w, http.StatusOK, *resp)
+		return
+	}
+	body := fb.b
+	if cacheable {
+		body = append([]byte(nil), body...)
+	}
+	s.writeBody(w, r, key, cacheable, body)
 }
 
 // writeError maps err onto the typed error envelope and writes it.

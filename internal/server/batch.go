@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -169,10 +168,13 @@ func (s *Server) execElement(ctx context.Context, e batchElem) *captureWriter {
 		ctx = context.WithValue(ctx, rawKeyCtxKey{}, rawRequestKey(path, "", e.payload))
 	}
 	cw := getCapture()
+	body := getBodyScratch()
+	defer putBodyScratch(body)
+	body.hold(e.payload)
 	r := (&http.Request{
 		Method:        http.MethodPost,
 		URL:           &url.URL{Path: path},
-		Body:          io.NopCloser(bytes.NewReader(e.payload)),
+		Body:          body,
 		ContentLength: int64(len(e.payload)),
 	}).WithContext(ctx)
 	h := s.handleSimulate
@@ -317,7 +319,7 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 // already charged the batch its one admission slot and deadline.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	var items []batchItem
-	if err := decodeBody(w, r, &items); err != nil {
+	if err := s.decodeRequest(w, r, &items); err != nil {
 		return err
 	}
 	if len(items) == 0 {

@@ -32,10 +32,20 @@ type sourceKey struct {
 // the pristine input image, cloned per simulation.
 type compiled struct {
 	prog  *prog.Program
-	index *sim.ProgIndex
 	stats core.Stats
 	mem   *mem.Memory
 	ref   *prog.Result
+
+	// index is the simulator's program index, built on the first simulate:
+	// a schedule request never needs it.
+	indexOnce sync.Once
+	index     *sim.ProgIndex
+}
+
+// progIndex returns the simulator index of c.prog, building it once.
+func (c *compiled) progIndex() *sim.ProgIndex {
+	c.indexOnce.Do(func() { c.index = sim.NewProgIndex(c.prog) })
+	return c.index
 }
 
 type sourceEntry struct {

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"time"
 
 	"sentinel/internal/asm"
 	"sentinel/internal/core"
@@ -42,11 +43,39 @@ func ipc(instrs, cycles int64) float64 {
 // v1 wrapper's raw-fingerprint slurp so both refuse at the same size.
 const maxBodyBytes = 4 << 20
 
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// decodeRequest decodes a JSON request body into req (zero on entry) under
+// the decode stage. A body the server already holds (heldBytes) is decoded
+// in place, a schedule or simulate body through the request codec; any
+// other body streams through the size limit into encoding/json's strict
+// Decoder. Every path reaches encoding/json's verdict and error text.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req any) error {
+	var t0 time.Time
+	if s.decodeTime != nil {
+		t0 = time.Now()
+	}
+	rd := obs.RecordFrom(r.Context())
+	rd.Start(obs.StageDecode, obs.ArgNone)
+	var err error
+	if b, ok := heldBytes(r); ok {
+		switch q := req.(type) {
+		case *ScheduleRequest:
+			_, err = DecodeScheduleRequest(b, q)
+		case *SimulateRequest:
+			_, err = DecodeSimulateRequest(b, q)
+		default:
+			_, err = decodeJSON(b, req)
+		}
+	} else {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(req)
+	}
+	rd.End()
+	if s.decodeTime != nil {
+		s.decodeTime.Observe(time.Since(t0).Nanoseconds())
+	}
+	if err != nil {
 		return apiErrorf(http.StatusBadRequest, KindBadRequest, "invalid request body: %v", err)
 	}
 	return nil
@@ -75,8 +104,9 @@ func respPredictor(md machine.Desc) string {
 
 // prepared resolves a ProgramSpec into compile artifacts: workload kernels
 // through the Runner's caches, inline source through the content-hash
-// cache.
-func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, form bool) (eval.Prepared, error) {
+// cache. Only a simulation needs an inline source's memory image and
+// simulator index, so a schedule (simulate false) gets neither.
+func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, form, simulate bool) (eval.Prepared, error) {
 	ctx := r.Context()
 	switch {
 	case spec.Workload != "" && spec.Source != "":
@@ -105,7 +135,10 @@ func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, fo
 		if err != nil {
 			return eval.Prepared{}, err
 		}
-		return eval.Prepared{Prog: c.prog, Index: c.index, Stats: c.stats,
+		if !simulate {
+			return eval.Prepared{Prog: c.prog, Stats: c.stats, Ref: c.ref}, nil
+		}
+		return eval.Prepared{Prog: c.prog, Index: c.progIndex(), Stats: c.stats,
 			Ref: c.ref, Mem: c.mem.Clone()}, nil
 	default:
 		return eval.Prepared{}, apiErrorf(http.StatusBadRequest, KindBadRequest,
@@ -133,7 +166,7 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 			"reference interpretation failed: %v", err)
 	}
 	if form {
-		p = superblock.Form(p, ref.Profile, superblock.Options{})
+		p = superblock.FormOwned(p, ref.Profile, superblock.Options{})
 		p.Layout()
 		if err := p.Validate(); err != nil {
 			rd.End()
@@ -143,20 +176,22 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 	}
 	rd.End()
 	rd.Start(obs.StageSchedule, obs.ArgNone)
-	sched, stats, err := core.Schedule(p, md)
+	sched, stats, err := core.ScheduleOwned(p, md)
 	rd.End()
 	if err != nil {
 		return nil, apiErrorf(http.StatusUnprocessableEntity, KindProgramError,
 			"schedule: %v", err)
 	}
-	return &compiled{prog: sched, index: sim.NewProgIndex(sched), stats: stats,
-		mem: m, ref: ref}, nil
+	// The cache keeps only what verification reads of the reference run,
+	// not its memory image or profile.
+	return &compiled{prog: sched, stats: stats, mem: m,
+		ref: &prog.Result{Out: ref.Out, MemSum: ref.MemSum, Instrs: ref.Instrs}}, nil
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	req := getSchedReq()
 	defer putSchedReq(req)
-	if err := decodeBody(w, r, req); err != nil {
+	if err := s.decodeRequest(w, r, req); err != nil {
 		return err
 	}
 	md, err := parseMachine(req.Model, req.Width, req.Predictor)
@@ -180,7 +215,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	}
 	rd.SetTier(tierFull)
 
-	p, err := s.prepared(r, req.ProgramSpec, md, form)
+	p, err := s.prepared(r, req.ProgramSpec, md, form, false)
 	if err != nil {
 		return err
 	}
@@ -188,25 +223,37 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	for _, b := range p.Prog.Blocks {
 		instrs += len(b.Instrs)
 	}
-	resp := getSchedResp()
-	defer putSchedResp(resp)
-	*resp = ScheduleResponse{
+	resp := ScheduleResponse{
 		Model:     md.Model.String(),
 		Width:     md.IssueWidth,
 		Predictor: respPredictor(md),
 		Blocks:    len(p.Prog.Blocks),
 		Instrs:    instrs,
 		Stats:     p.Stats,
-		Listing:   asm.FormatScheduled(p.Prog),
 	}
-	s.writeJSONCaching(w, r, key, true, resp)
+	// The listing is appended from the program into scratch behind the
+	// response head, then escaped once into a body allocated at its exact
+	// size: the body the cache keeps and the client gets.
+	rd.Start(obs.StageEncode, obs.ArgNone)
+	fb := getFrameBuf()
+	fb.b = appendScheduleHead(fb.b[:0], &resp)
+	head := len(fb.b)
+	fb.b = asm.AppendScheduled(fb.b, p.Prog)
+	listing := fb.b[head:]
+	body := make([]byte, 0, head+jsonStringLen(listing)+len(scheduleTail))
+	body = append(body, fb.b[:head]...)
+	body = appendJSONString(body, listing)
+	body = append(body, scheduleTail...)
+	putFrameBuf(fb)
+	s.writeBody(w, r, key, true, body)
+	rd.End()
 	return nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	req := getSimReq()
 	defer putSimReq(req)
-	if err := decodeBody(w, r, req); err != nil {
+	if err := s.decodeRequest(w, r, req); err != nil {
 		return err
 	}
 	md, err := parseMachine(req.Model, req.Width, req.Predictor)
@@ -249,9 +296,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 		rd.SetTier(tierCell)
-		resp := getSimResp()
-		defer putSimResp(resp)
-		*resp = SimulateResponse{
+		s.writeSimulate(w, r, key, true, &SimulateResponse{
 			Model:     md.Model.String(),
 			Width:     md.IssueWidth,
 			Predictor: respPredictor(md),
@@ -260,15 +305,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 			IPC:       ipc(cell.Instrs, cell.Cycles),
 			Stalls:    cell.Sim.Stalls(),
 			Stats:     cell.Sim,
-		}
-		s.writeJSONCaching(w, r, key, true, resp)
+		})
 		return nil
 	}
 
 	// Full path: a per-request simulation over cached compile artifacts —
 	// inline source, fault injection, or an explicit Full run that needs
 	// the program output and memory checksum.
-	p, err := s.prepared(r, req.ProgramSpec, md, true)
+	p, err := s.prepared(r, req.ProgramSpec, md, true, true)
 	if err != nil {
 		return err
 	}
@@ -303,9 +347,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 				"verification failed: simulated result diverges from the reference interpreter")
 		}
 	}
-	resp := getSimResp()
-	defer putSimResp(resp)
-	*resp = SimulateResponse{
+	s.writeSimulate(w, r, key, cacheable, &SimulateResponse{
 		Model:      md.Model.String(),
 		Width:      md.IssueWidth,
 		Predictor:  respPredictor(md),
@@ -317,8 +359,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		Out:        res.Out,
 		MemSum:     strconv.FormatUint(res.MemSum, 10),
 		Exceptions: len(res.Exceptions),
-	}
-	s.writeJSONCaching(w, r, key, cacheable, resp)
+	})
 	return nil
 }
 

@@ -165,14 +165,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition invalid: %v", err)
 	}
-	var reqHist *obs.PromFamily
+	var reqHist, decodeHist *obs.PromFamily
 	var reqCount float64
 	for i := range fams {
 		switch fams[i].Name {
 		case "server_request_ns":
 			reqHist = &fams[i]
+		case "server_decode_ns":
+			decodeHist = &fams[i]
 		case "server_requests":
 			reqCount = fams[i].Samples[0].Value
+		}
+	}
+	// Only the first request is decoded: the repeats are warm hits served
+	// before any decode.
+	if decodeHist == nil {
+		t.Fatal("no server_decode_ns histogram family in exposition")
+	}
+	for _, s := range decodeHist.Samples {
+		if s.Name == "server_decode_ns_count" && s.Value != 1 {
+			t.Errorf("server_decode_ns_count = %v, want 1", s.Value)
 		}
 	}
 	if reqHist == nil {
@@ -257,7 +269,7 @@ func TestDebugRequests(t *testing.T) {
 	for _, sp := range cold.Spans {
 		spanStages[sp.Stage] = true
 	}
-	for _, want := range []string{"admission", "sfown"} {
+	for _, want := range []string{"admission", "decode", "sfown", "encode"} {
 		if !spanStages[want] {
 			t.Errorf("cold record missing %q span; has %v", want, spanStages)
 		}

@@ -1,17 +1,17 @@
 package server
 
-// Per-request state pools. Every /v1 request used to allocate an encode
-// buffer, a JSON encoder, and its request/response structs; under load that
-// is pure allocator traffic on the hot path, paid again on every repeat of
-// an already-answered request. The pools below recycle all of it. Encoders
-// are pooled together with their buffer (a json.Encoder is bound to its
-// writer at construction and remembers a write error forever, so a pair
-// that ever failed is dropped rather than recycled).
+// Per-request state pools: the body scratch, request structs, append
+// scratch and the error-envelope encoder, recycled so that allocator
+// traffic is not paid again on every request. Encoders are pooled together
+// with their buffer (a json.Encoder is bound to its writer at construction
+// and remembers a write error forever, so a pair that ever failed is
+// dropped rather than recycled).
 
 import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"sync"
 )
 
@@ -42,20 +42,29 @@ func getEnc() *jsonEnc {
 // error and would fail every future encode.
 func putEnc(e *jsonEnc) { encPool.Put(e) }
 
-// bodyScratch is the pooled state for slurping a request body on the v1
-// fast path: the accumulation buffer, the limit reader bounding it, and a
-// bytes.Reader handing the bytes back to the normal decode path. It is
-// itself the replacement r.Body (Read delegates to rd, Close is a no-op —
-// the HTTP server closes the original body on its own), so a warm request
-// allocates nothing while reading, keying and restoring its body.
+// bodyScratch is the pooled state for holding a request body in memory: on
+// the v1 fast path, the accumulation buffer the body is slurped into and the
+// limit reader bounding it; for a batch element, its payload. held is the
+// body's bytes and rd hands them back to anything that reads r.Body. The
+// scratch is itself the replacement r.Body (Read delegates to rd, Close is a
+// no-op — the HTTP server closes the original body on its own), so a warm
+// request allocates nothing while reading, keying and restoring its body,
+// and decoding reads held in place (heldBytes).
 type bodyScratch struct {
-	buf bytes.Buffer
-	lim io.LimitedReader
-	rd  bytes.Reader
+	buf  bytes.Buffer
+	lim  io.LimitedReader
+	rd   bytes.Reader
+	held []byte
 }
 
 func (s *bodyScratch) Read(p []byte) (int, error) { return s.rd.Read(p) }
 func (s *bodyScratch) Close() error               { return nil }
+
+// hold makes b the body's bytes.
+func (s *bodyScratch) hold(b []byte) {
+	s.held = b
+	s.rd.Reset(b)
+}
 
 var bodyScratchPool = sync.Pool{New: func() any { return new(bodyScratch) }}
 
@@ -69,23 +78,33 @@ func getBodyScratch() *bodyScratch {
 // AND with any r.Body aliasing it — in practice: call at v1-wrapper exit.
 func putBodyScratch(s *bodyScratch) {
 	s.lim.R = nil
-	s.rd.Reset(nil)
+	s.hold(nil)
 	bodyScratchPool.Put(s)
 }
 
-// frameBuf is the pooled encode scratch for batch framing: element header
-// lines on the /v1/batch chunk stream and wire frame headers alike are
-// appended into b and written out in one Write, so a warm batch element
-// performs no per-element allocation on its way to the socket.
+// heldBytes returns r's body bytes when a bodyScratch already holds them
+// (at most maxBodyBytes), so decoding needs no read.
+func heldBytes(r *http.Request) ([]byte, bool) {
+	if sc, ok := r.Body.(*bodyScratch); ok {
+		return sc.held, true
+	}
+	return nil, false
+}
+
+// frameBuf is the pooled append scratch for encoding: element header lines
+// on the /v1/batch chunk stream and wire frame headers alike are appended
+// into b and written out in one Write, so a warm batch element performs no
+// per-element allocation on its way to the socket; response encoders append
+// into it too.
 type frameBuf struct{ b []byte }
 
 var frameBufPool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
 
 func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
 
-// putFrameBuf recycles the scratch; buffers grown past any sane header size
-// (an error-frame message is the largest variable part) are dropped so one
-// pathological frame cannot pin memory in the pool.
+// putFrameBuf recycles the scratch; buffers grown past 64 KiB (a large
+// listing, a pathological error-frame message) are dropped so one outlier
+// cannot pin memory in the pool.
 func putFrameBuf(f *frameBuf) {
 	if cap(f.b) > 64<<10 {
 		return
@@ -93,7 +112,7 @@ func putFrameBuf(f *frameBuf) {
 	frameBufPool.Put(f)
 }
 
-// Request/response struct pools. Gets return a zeroed value (the previous
+// Request struct pools. Gets return a zeroed value (the previous
 // request's strings and slices must never leak into this one); puts are
 // unconditional — the structs hold no resources, only garbage.
 
@@ -116,23 +135,3 @@ func getSchedReq() *ScheduleRequest {
 }
 
 func putSchedReq(req *ScheduleRequest) { schedReqPool.Put(req) }
-
-var simRespPool = sync.Pool{New: func() any { return new(SimulateResponse) }}
-
-func getSimResp() *SimulateResponse {
-	resp := simRespPool.Get().(*SimulateResponse)
-	*resp = SimulateResponse{}
-	return resp
-}
-
-func putSimResp(resp *SimulateResponse) { simRespPool.Put(resp) }
-
-var schedRespPool = sync.Pool{New: func() any { return new(ScheduleResponse) }}
-
-func getSchedResp() *ScheduleResponse {
-	resp := schedRespPool.Get().(*ScheduleResponse)
-	*resp = ScheduleResponse{}
-	return resp
-}
-
-func putSchedResp(resp *ScheduleResponse) { schedRespPool.Put(resp) }

@@ -97,6 +97,7 @@ type Server struct {
 
 	// Metrics, nil (the obs discard path) unless Config.Registry was set.
 	reqTime    *obs.Histogram // wall time per /v1 request, ns
+	decodeTime *obs.Histogram // request body decode, ns
 	reqs       *obs.Counter   // admitted /v1 requests
 	rejected   *obs.Counter   // refused at admission (overload/draining/deadline)
 	errs4xx    *obs.Counter
@@ -126,6 +127,7 @@ func New(cfg Config) *Server {
 	if reg := cfg.Registry; reg != nil {
 		s.runner.SetMetrics(reg)
 		s.reqTime = reg.Histogram("server.request_ns")
+		s.decodeTime = reg.Histogram("server.decode_ns")
 		s.reqs = reg.Counter("server.requests")
 		s.rejected = reg.Counter("server.rejected")
 		s.errs4xx = reg.Counter("server.errors_4xx")
@@ -416,7 +418,7 @@ func (s *Server) fingerprintRaw(r *http.Request) (k respKey, sc *bodyScratch, ok
 		r.Body = readCloser{io.MultiReader(bytes.NewReader(sc.buf.Bytes()), r.Body), r.Body}
 		return respKey{}, sc, false
 	}
-	sc.rd.Reset(sc.buf.Bytes())
+	sc.hold(sc.buf.Bytes())
 	r.Body = sc
 	return rawRequestKey(r.URL.Path, r.URL.RawQuery, sc.buf.Bytes()), sc, true
 }

@@ -64,8 +64,14 @@ func (o Options) WithDefaults() Options {
 // superblocks. p is not modified. The profile must come from a run of p.
 // Form only reads p and prof, so concurrent formations may share both.
 func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
+	return FormOwned(p.Clone(), prof, opts)
+}
+
+// FormOwned is Form for a program the caller owns and gives up: p itself
+// is rewritten, without Form's copy, and its blocks and instructions end
+// up in the result. Nothing else may hold p.
+func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	opts = opts.WithDefaults()
-	p = p.Clone()
 
 	traces := selectTraces(p, prof, opts)
 
@@ -284,7 +290,8 @@ func bestSuccessor(p *prog.Program, prof *prog.Profile, cur *prog.Block, opts Op
 	}
 	var best string
 	var bestN int64 = -1
-	for _, s := range p.Successors(cur) {
+	var succ [4]string
+	for _, s := range p.AppendSuccessors(succ[:0], cur) {
 		if n := prof.Edges[prog.EdgeKey{From: cur.Label, To: s}]; n > bestN {
 			best, bestN = s, n
 		}
@@ -299,11 +306,12 @@ func bestSuccessor(p *prog.Program, prof *prog.Profile, cur *prog.Block, opts Op
 // predecessor.
 func mutualMostLikely(p *prog.Program, prof *prog.Profile, from, next string) bool {
 	in := prof.Edges[prog.EdgeKey{From: from, To: next}]
+	var succ [4]string
 	for _, b := range p.Blocks {
 		if b.Label == from {
 			continue
 		}
-		for _, s := range p.Successors(b) {
+		for _, s := range p.AppendSuccessors(succ[:0], b) {
 			if s == next && prof.Edges[prog.EdgeKey{From: b.Label, To: next}] > in {
 				return false
 			}
@@ -620,10 +628,8 @@ func expandInductions(copies [][]*ir.Instr, used *dataflow.RegSet) []renameRec {
 			if i == pos {
 				continue
 			}
-			for _, u := range in.Uses() {
-				if u == r {
-					usedInCopy = true
-				}
+			if u1, u2 := in.Uses2(); u1 == r || u2 == r {
+				usedInCopy = true
 			}
 		}
 		if usedInCopy {
@@ -721,8 +727,11 @@ func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used
 	for ci, c := range copies {
 		var seen, local dataflow.RegSet
 		for _, in := range c {
-			for _, u := range in.Uses() {
-				seen.Add(u)
+			u1, u2 := in.Uses2()
+			for _, u := range [2]ir.Reg{u1, u2} {
+				if u.Valid() {
+					seen.Add(u)
+				}
 			}
 			if d, def := in.Def(); def && !seen.Has(d) {
 				seen.Add(d)
