@@ -88,17 +88,19 @@ func (m *Memory) Segment(name string) *Segment {
 	return nil
 }
 
+// find returns the segment holding [addr, addr+size): the first segment
+// ending after addr, scanned directly (a memory has a handful of segments).
 func (m *Memory) find(addr int64, size int) (*Segment, *Fault) {
-	i := sort.Search(len(m.segs), func(i int) bool {
-		s := m.segs[i]
-		return addr < s.Base+int64(len(s.Data))
-	})
-	if i < len(m.segs) && m.segs[i].Contains(addr, size) {
-		s := m.segs[i]
-		if !s.Present {
-			return nil, &Fault{Kind: ir.ExcPageFault, Addr: addr}
+	for _, s := range m.segs {
+		if addr < s.Base+int64(len(s.Data)) {
+			if !s.Contains(addr, size) {
+				break
+			}
+			if !s.Present {
+				return nil, &Fault{Kind: ir.ExcPageFault, Addr: addr}
+			}
+			return s, nil
 		}
-		return s, nil
 	}
 	return nil, &Fault{Kind: ir.ExcAccessViolation, Addr: addr}
 }

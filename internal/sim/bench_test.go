@@ -98,6 +98,26 @@ func allocsPerRun(t *testing.T, sched *prog.Program, m *mem.Memory, md machine.D
 	})
 }
 
+// TestRunAllocs bounds Run's steady-state allocations with a prebuilt
+// index: the machine, its store buffer, the output vector, the result, the
+// per-run execution counts and the memory clone, plus one fault record per
+// faulting speculative load — none per issued instruction.
+func TestRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	md := machine.Base(8, machine.SentinelStores)
+	for _, c := range []struct {
+		name  string
+		bound float64
+	}{{"nasa7", 29}, {"wc", 13}} {
+		sched, m := schedFor(t, c.name, md)
+		if got := allocsPerRun(t, sched, m, md, Options{Index: NewProgIndex(sched)}); got > c.bound {
+			t.Errorf("%s: Run allocates %.1f/op, want at most %.0f", c.name, got, c.bound)
+		}
+	}
+}
+
 // TestRunTAGEAllocFree pins the frontend's steady-state allocation behavior:
 // with a prebuilt index and predictor, a TAGE-frontend Run allocates no more
 // than the perfect-frontend Run on the same schedule. All predictor state

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 
 	"sentinel/internal/ir"
@@ -120,38 +119,22 @@ func (sf *shadowFile) discard() {
 	}
 }
 
-// rdRaw reads a register's raw bits through the shadow file at the given
-// boost level (0 = architectural).
-func (m *Machine) rdRaw(level int, r ir.Reg) int64 {
-	if level > 0 && m.boost != nil {
-		// The operand is physical (Run checked the instruction's record),
-		// so its dense index needs no validation.
-		idx := int(r.N)
-		if r.Class == ir.FPClass {
-			idx += ir.NumIntRegs
-		}
-		if v, ok := m.boost.read(level, idx); ok {
-			return v.raw
-		}
+// rdRawAt reads the raw bits of the register with dense index r through
+// the shadow file at the given boost level: the newest shadow value at
+// levels level..1, else the architectural value.
+func (m *Machine) rdRawAt(level int, r int8) int64 {
+	if v, ok := m.boost.read(level, int(r)); ok {
+		return v.raw
 	}
-	return m.Raw(r)
-}
-
-// rdInt and rdFP are typed conveniences over rdRaw.
-func (m *Machine) rdInt(level int, r ir.Reg) int64 { return m.rdRaw(level, r) }
-
-func (m *Machine) rdFP(level int, r ir.Reg) float64 {
-	return math.Float64frombits(uint64(m.rdRaw(level, r)))
+	return m.rawAt(r)
 }
 
 // execBoosted executes a boosted (Spec, BoostLevel >= 1) register-writing
 // instruction: its result goes to the shadow file; an exception is recorded
 // in the shadow entry rather than signalled.
-func (m *Machine) execBoosted(in *ir.Instr, op opRec, t int64) (event, error) {
+func (m *Machine) execBoosted(in *ir.Instr, op *opRec, imm, t int64) (event, error) {
 	lvl := in.BoostLevel
-	m.curLvl = lvl
-	val, exc := m.compute(in)
-	m.curLvl = 0
+	val, exc := m.compute(op, m.rdRawAt(lvl, op.src1), m.rdRawAt(lvl, op.src2), imm)
 	if d := op.dest; d >= 0 {
 		if exc != ir.ExcNone {
 			m.stats.TagSets++
@@ -171,11 +154,12 @@ func (m *Machine) execBoosted(in *ir.Instr, op opRec, t int64) (event, error) {
 // shadow entry at its boost level; branch commits decrement the level and
 // level 0 confirms the entry (§2.3's shadow store buffers, realized on the
 // same buffer that serves §4's probationary entries).
-func (m *Machine) execBoostedStore(in *ir.Instr, t int64) (event, error) {
-	addr := m.rdInt(in.BoostLevel, in.Src1) + in.Imm
-	size := ir.MemSize(in.Op)
-	data := uint64(m.rdRaw(in.BoostLevel, in.Src2))
-	e := Entry{Addr: addr, Size: size, Data: data, Level: in.BoostLevel}
+func (m *Machine) execBoostedStore(in *ir.Instr, op *opRec, imm, t int64) (event, error) {
+	lvl := in.BoostLevel
+	addr := m.rdRawAt(lvl, op.src1) + imm
+	size := ir.MemSize(op.op)
+	data := uint64(m.rdRawAt(lvl, op.src2))
+	e := Entry{Addr: addr, Size: size, Data: data, Level: lvl}
 	if fault := m.Mem.Check(addr, size); fault != nil {
 		e.ExcSet, e.ExcKind, e.ExcPC = true, fault.Kind, int64(in.PC)
 		m.stats.TagSets++
@@ -199,8 +183,7 @@ func (m *Machine) commitBoost() (ev event) {
 			ev = signal(v.excPC, v.exc)
 			return false
 		}
-		r := regFromIndex(idx)
-		m.SetRaw(r, v.raw)
+		m.setRawAt(int8(idx), v.raw)
 		return true
 	})
 	if !ok {
@@ -211,11 +194,4 @@ func (m *Machine) commitBoost() (ev event) {
 		return signal(bev.ExcPC, bev.ExcKind)
 	}
 	return event{}
-}
-
-func regFromIndex(idx int) ir.Reg {
-	if idx < ir.NumIntRegs {
-		return ir.R(idx)
-	}
-	return ir.F(idx - ir.NumIntRegs)
 }

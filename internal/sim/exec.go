@@ -35,14 +35,15 @@ func signal(reportPC int64, kind ir.ExcKind) event {
 	return event{flow: flowSignal, reportPC: int(reportPC), kind: kind}
 }
 
-// exec executes one instruction, whose operand record is op, at issue time
-// t, implementing Table 1 (exception detection with sentinel scheduling)
-// and Table 2 (store-buffer insertion).
-func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
-	m.pcq.Push(in.PC)
+// exec executes one instruction, whose operand record is op and immediate
+// imm, at issue time t, implementing Table 1 (exception detection with
+// sentinel scheduling) and Table 2 (store-buffer insertion). It reads in
+// only on the rare paths: runtime calls, boosted instructions, tracing and
+// exceptions.
+func (m *Machine) exec(in *ir.Instr, op *opRec, imm, t int64) (event, error) {
 	usesTags := m.usesTags
 
-	switch in.Op {
+	switch op.op {
 	case ir.Nop, ir.Halt:
 		return event{}, nil
 
@@ -54,15 +55,13 @@ func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 	case ir.Check:
 		// The explicit sentinel: signals iff its source carries an
 		// exception condition; performs no computation (§3.2).
-		if usesTags {
-			if r := op.src1; r >= 0 && m.Tags[r].Set {
-				return signal(m.rawAt(r), m.Tags[r].Kind), nil
-			}
+		if r := op.src1; usesTags && m.Tags[r].Set {
+			return signal(m.rawAt(r), m.Tags[r].Kind), nil
 		}
 		return event{}, nil
 
 	case ir.ConfirmSt:
-		exc, kind, excPC, err := m.buf.confirm(in.Imm)
+		exc, kind, excPC, err := m.buf.confirm(imm)
 		if err != nil {
 			return event{}, err
 		}
@@ -77,14 +76,12 @@ func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 	case ir.Jsr:
 		// Calls are never speculative; a tagged argument register makes the
 		// call act as a sentinel.
-		if usesTags {
-			if r := op.src1; r >= 0 && m.Tags[r].Set {
-				return signal(m.rawAt(r), m.Tags[r].Kind), nil
-			}
+		if r := op.src1; usesTags && m.Tags[r].Set {
+			return signal(m.rawAt(r), m.Tags[r].Kind), nil
 		}
 		switch in.Target {
 		case "putint":
-			m.out = append(m.out, m.Int[in.Src1.N])
+			m.out = append(m.out, m.intAt(op.src1))
 		default:
 			return event{}, fmt.Errorf("sim: unknown runtime routine %q", in.Target)
 		}
@@ -98,11 +95,7 @@ func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 				return signal(m.rawAt(r), m.Tags[r].Kind), nil
 			}
 		}
-		b := in.Imm
-		if in.Src2.Valid() {
-			b = m.Int[in.Src2.N]
-		}
-		if ir.CondHolds(in.Op, m.Int[in.Src1.N], b) {
+		if ir.CondHolds(op.op, m.intAt(op.src1), m.intSrc2(op, imm)) {
 			if m.boost != nil {
 				m.boost.discard() // misprediction: shadow state dies
 			}
@@ -121,28 +114,24 @@ func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 		// Save data AND exception tag without signalling (§3.2), e.g. for
 		// register spill, function call or context switch.
 		m.buf.flushConfirmed(m.Mem)
-		addr := m.Int[in.Src1.N] + in.Imm
-		var tg Tag
-		if r := op.src2; r >= 0 {
-			tg = m.Tags[r]
-		}
+		addr := m.intAt(op.src1) + imm
 		var tagByte byte
-		if tg.Set {
+		if tg := m.Tags[op.src2]; tg.Set {
 			tagByte = byte(tg.Kind)
 		}
-		if f := m.Mem.WriteTagged(addr, uint64(m.Raw(in.Src2)), tagByte); f != nil {
+		if f := m.Mem.WriteTagged(addr, uint64(m.rawAt(op.src2)), tagByte); f != nil {
 			return signal(int64(in.PC), f.Kind), nil
 		}
 		return event{}, nil
 
 	case ir.RestTR:
 		m.buf.flushConfirmed(m.Mem)
-		addr := m.Int[in.Src1.N] + in.Imm
+		addr := m.intAt(op.src1) + imm
 		v, tagByte, f := m.Mem.ReadTagged(addr)
 		if f != nil {
 			return signal(int64(in.PC), f.Kind), nil
 		}
-		m.SetRaw(in.Dest, int64(v))
+		m.setRawAt(op.dest, int64(v))
 		if tagByte != 0 {
 			m.setTag(op.dest, Tag{Set: true, Kind: ir.ExcKind(tagByte)})
 		} else {
@@ -152,96 +141,85 @@ func (m *Machine) exec(in *ir.Instr, op opRec, t int64) (event, error) {
 		return event{}, nil
 	}
 
-	if m.boost != nil && in.Spec {
-		if ir.BufferedStore(in.Op) {
-			return m.execBoostedStore(in, t)
+	if m.boost != nil && op.flags&fSpec != 0 {
+		if ir.BufferedStore(op.op) {
+			return m.execBoostedStore(in, op, imm, t)
 		}
-		return m.execBoosted(in, op, t)
+		return m.execBoosted(in, op, imm, t)
 	}
-	if ir.BufferedStore(in.Op) {
-		return m.execStore(in, op, t, usesTags)
+	if ir.BufferedStore(op.op) {
+		return m.execStore(in, op, imm, t, usesTags)
 	}
-	return m.execValue(in, op, t, usesTags)
+	return m.execValue(in, op, imm, t, usesTags), nil
 }
 
 // execValue implements Table 1 for register-writing instructions.
-func (m *Machine) execValue(in *ir.Instr, op opRec, t int64, usesTags bool) (event, error) {
-	srcTag := int8(-1)
-	if usesTags {
-		srcTag = m.firstTaggedSrc(op)
-	}
-	lat := int64(op.lat)
-
-	if in.Spec {
-		if srcTag >= 0 {
-			// Exception propagation (Table 1, spec=1 src-tag=1 rows): the
-			// destination's tag is set and the first tagged source's data
-			// (the excepting PC) is copied through.
-			tg := m.Tags[srcTag]
-			m.stats.TagPropagations++
-			if m.trace != nil {
-				m.trace.FlowStep(m.rawAt(srcTag), traceSlot(in), t)
-			}
-			m.SetRaw(in.Dest, m.rawAt(srcTag))
-			m.setTag(op.dest, tg)
-			m.setReady(op.dest, t+lat)
-			return event{}, nil
+func (m *Machine) execValue(in *ir.Instr, op *opRec, imm, t int64, usesTags bool) event {
+	if srcTag := m.firstTaggedSrc(op); usesTags && srcTag >= 0 {
+		if op.flags&fSpec == 0 {
+			// Table 1, spec=0 src-tag=1 rows: this instruction is the
+			// sentinel for an earlier speculative exception: signal,
+			// reporting the tagged source's data as the PC.
+			return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind)
 		}
-		val, exc := m.compute(in)
-		if exc != ir.ExcNone {
-			if usesTags {
-				// Table 1, spec=1 row: tag set, data = PC of I, no signal.
-				if !m.pcq.Contains(in.PC) {
-					return event{}, fmt.Errorf("sim: pc %d aged out of the PC history queue", in.PC)
-				}
-				m.stats.TagSets++
-				if m.trace != nil {
-					m.trace.FlowStart(int64(in.PC), traceSlot(in), t)
-				}
-				m.SetRaw(in.Dest, int64(in.PC))
-				m.setTag(op.dest, Tag{Set: true, Kind: exc})
-			} else {
-				// General percolation (§2.4): the silent version writes a
-				// garbage value and the exception is ignored.
-				m.SetRaw(in.Dest, GarbageValue)
-			}
-			m.setReady(op.dest, t+lat)
-			return event{}, nil
+		// Exception propagation (Table 1, spec=1 src-tag=1 rows): the
+		// destination's tag is set and the first tagged source's data (the
+		// excepting PC) is copied through.
+		tg := m.Tags[srcTag]
+		m.stats.TagPropagations++
+		if m.trace != nil {
+			m.trace.FlowStep(m.rawAt(srcTag), traceSlot(in), t)
 		}
-		m.SetRaw(in.Dest, val)
-		m.setTag(op.dest, Tag{})
-		m.setReady(op.dest, t+lat)
-		return event{}, nil
+		m.setRawAt(op.dest, m.rawAt(srcTag))
+		m.setTag(op.dest, tg)
+		m.setReady(op.dest, t+int64(op.lat))
+		return event{}
 	}
-
-	// Non-speculative (Table 1, spec=0 rows).
-	if srcTag >= 0 {
-		// This instruction is the sentinel for an earlier speculative
-		// exception: signal, reporting the tagged source's data as the PC.
-		return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind), nil
-	}
-	val, exc := m.compute(in)
+	val, exc := m.compute(op, m.rawAt(op.src1), m.rawAt(op.src2), imm)
 	if exc != ir.ExcNone {
-		return signal(int64(in.PC), exc), nil
+		return m.excepted(in, op, t, exc)
 	}
-	m.SetRaw(in.Dest, val)
+	m.setRawAt(op.dest, val)
 	m.setTag(op.dest, Tag{})
-	m.setReady(op.dest, t+lat)
-	return event{}, nil
+	m.setReady(op.dest, t+int64(op.lat))
+	return event{}
+}
+
+// excepted applies Table 1's rows for an untagged register-writing
+// instruction whose own computation raised exc.
+func (m *Machine) excepted(in *ir.Instr, op *opRec, t int64, exc ir.ExcKind) event {
+	if op.flags&fSpec == 0 {
+		return signal(int64(in.PC), exc) // spec=0: signal precisely
+	}
+	if m.usesTags {
+		// Table 1, spec=1 row: tag set, data = PC of I, no signal.
+		m.stats.TagSets++
+		if m.trace != nil {
+			m.trace.FlowStart(int64(in.PC), traceSlot(in), t)
+		}
+		m.setRawAt(op.dest, int64(in.PC))
+		m.setTag(op.dest, Tag{Set: true, Kind: exc})
+	} else {
+		// General percolation (§2.4): the silent version writes a garbage
+		// value and the exception is ignored.
+		m.setRawAt(op.dest, GarbageValue)
+	}
+	m.setReady(op.dest, t+int64(op.lat))
+	return event{}
 }
 
 // execStore implements Table 2: insertion of a store into the store buffer.
-func (m *Machine) execStore(in *ir.Instr, op opRec, t int64, usesTags bool) (event, error) {
+func (m *Machine) execStore(in *ir.Instr, op *opRec, imm, t int64, usesTags bool) (event, error) {
 	srcTag := int8(-1)
 	if usesTags {
 		srcTag = m.firstTaggedSrc(op)
 	}
-	addr := m.Int[in.Src1.N] + in.Imm
-	size := ir.MemSize(in.Op)
-	data := uint64(m.Raw(in.Src2))
+	addr := m.intAt(op.src1) + imm
+	size := ir.MemSize(op.op)
+	data := uint64(m.rawAt(op.src2))
 	fault := m.Mem.Check(addr, size)
 
-	if !in.Spec {
+	if op.flags&fSpec == 0 {
 		if srcTag >= 0 {
 			// Table 2 rows 010/011: the store is the sentinel.
 			return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind), nil
@@ -312,53 +290,45 @@ func (m *Machine) setReady(r int8, at int64) {
 }
 
 // compute evaluates the value semantics of a non-store, register-writing
-// instruction, returning the raw result bits and any exception.
-func (m *Machine) compute(in *ir.Instr) (int64, ir.ExcKind) {
-	// Reads go through the shadow file at the current boost level; at level
-	// 0 (every model but boosting) they are plain architectural reads.
-	lvl := m.curLvl
-	rdi := func(r ir.Reg) int64 { return m.rdInt(lvl, r) }
-	rdf := func(r ir.Reg) float64 { return m.rdFP(lvl, r) }
-	src2 := func() int64 {
-		if in.Src2.Valid() {
-			return rdi(in.Src2)
-		}
-		return in.Imm
+// instruction on its source registers' raw bits a and b (0 for an absent
+// operand) and immediate imm, returning the raw result bits and any
+// exception.
+func (m *Machine) compute(op *opRec, a, b, imm int64) (int64, ir.ExcKind) {
+	src2 := b
+	if op.flags&fImm != 0 {
+		src2 = imm
 	}
-	switch in.Op {
+	switch op.op {
 	case ir.Li:
-		return in.Imm, ir.ExcNone
+		return imm, ir.ExcNone
 	case ir.Mov:
-		return rdi(in.Src1), ir.ExcNone
+		return a, ir.ExcNone
 	case ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Slt:
-		return ir.IntALUOp(in.Op, rdi(in.Src1), src2()), ir.ExcNone
+		return ir.IntALUOp(op.op, a, src2), ir.ExcNone
 	case ir.Div, ir.Rem:
-		return ir.IntDivOp(in.Op, rdi(in.Src1), src2())
-	case ir.Ld, ir.Ldb:
-		v, f := m.buf.loadOverlay(rdi(in.Src1)+in.Imm, ir.MemSize(in.Op), m.Mem)
-		if f != nil {
-			return 0, f.Kind
-		}
-		return int64(v), ir.ExcNone
-	case ir.Fld:
-		v, f := m.buf.loadOverlay(rdi(in.Src1)+in.Imm, 8, m.Mem)
-		if f != nil {
-			return 0, f.Kind
+		return ir.IntDivOp(op.op, a, src2)
+	case ir.Ld, ir.Ldb, ir.Fld:
+		v, flt := m.buf.loadOverlay(a+imm, ir.MemSize(op.op), m.Mem)
+		if flt != nil {
+			return 0, flt.Kind
 		}
 		return int64(v), ir.ExcNone
 	case ir.Fadd, ir.Fsub, ir.Fmul, ir.Fdiv:
-		v, exc := ir.FPOp(in.Op, rdf(in.Src1), rdf(in.Src2))
+		v, exc := ir.FPOp(op.op, fp(a), fp(b))
 		return int64(math.Float64bits(v)), exc
 	case ir.Fmov, ir.Fneg, ir.Fabs:
-		v := ir.FPUnOp(in.Op, rdf(in.Src1))
+		v := ir.FPUnOp(op.op, fp(a))
 		return int64(math.Float64bits(v)), ir.ExcNone
 	case ir.Cvif:
-		return int64(math.Float64bits(float64(rdi(in.Src1)))), ir.ExcNone
+		return int64(math.Float64bits(float64(a))), ir.ExcNone
 	case ir.Cvfi:
-		return ir.CvfiOp(rdf(in.Src1))
+		return ir.CvfiOp(fp(a))
 	case ir.Feq, ir.Flt, ir.Fle:
-		return ir.FPCmpOp(in.Op, rdf(in.Src1), rdf(in.Src2))
+		return ir.FPCmpOp(op.op, fp(a), fp(b))
 	default:
-		panic(fmt.Sprintf("sim: compute on %v", in.Op))
+		panic(fmt.Sprintf("sim: compute on %v", op.op))
 	}
 }
+
+// fp reinterprets raw register bits as a float64.
+func fp(raw int64) float64 { return math.Float64frombits(uint64(raw)) }

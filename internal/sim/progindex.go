@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"sync/atomic"
 
 	"sentinel/internal/ir"
@@ -16,82 +18,122 @@ var progIndexBuilds atomic.Int64
 // pos is the (block, instruction) coordinate of a PC.
 type pos struct{ block, idx int32 }
 
-// opRec is an instruction's operands pre-decoded for the simulator's issue
-// path: dense register indices (ir.Reg.Index) of Src1, Src2 and Dest, -1
-// where the operand is absent or r0 (which the scoreboard, the exception
-// tags and the shadow file all ignore), and the opcode's latency.
+// opRec is one instruction pre-decoded for the simulator's issue path: all
+// the issue loop and exec read of it on the common path, so neither
+// dereferences the *ir.Instr except to trace, to call a runtime routine, to
+// run a boosted instruction or to report an exception. 16 bytes.
 type opRec struct {
-	src1, src2, dest int8
-	lat              uint8
+	op    ir.Op
+	lat   uint8
+	flags uint8
+	// src1 and src2 are dense read indices (ir.Reg.Index). r0 and an absent
+	// operand read index 0, the hardwired zero, which never carries a tag or
+	// a pending write, so the scoreboard and tag checks need no presence
+	// test.
+	src1, src2 int8
+	// dest is the dense destination index, -1 for none or r0 (which the
+	// scoreboard, the exception tags and the shadow file all ignore).
+	dest int8
+	// cycle is the scheduled cycle within the block (-1 unscheduled) and imm
+	// the immediate, both from the *ir.Instr when fWide is set.
+	cycle int16
+	imm   int32
+	// aux is a conditional branch's dense branch id, or a Jmp's target block
+	// index; -1 otherwise, or when the target names no block.
+	aux int32
 }
 
-// decodeOps builds in's operand record.
-func decodeOps(in *ir.Instr) opRec {
-	dense := func(r ir.Reg) int8 {
-		if !r.Valid() || r.IsZero() {
-			return -1
+// opRec flags.
+const (
+	fSpec uint8 = 1 << iota // the speculative modifier
+	fImm                    // the second operand is the immediate (no Src2)
+	// fFast marks an op the issue loop runs inline when it is not boosted
+	// and no source is tagged: a load, or an integer op that cannot raise
+	// an exception (li, mov and the ALU ops but div and rem) whose operands
+	// are all integer registers.
+	fFast
+	// fWide marks an instruction whose cycle or immediate does not fit the
+	// record; the issue loop reads both from the *ir.Instr.
+	fWide
+)
+
+// intOp reports whether op is an integer op that cannot raise an
+// exception.
+func intOp(op ir.Op) bool {
+	switch op {
+	case ir.Li, ir.Mov, ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr, ir.Slt:
+		return true
+	}
+	return false
+}
+
+// decodeOp builds in's operand record, with no branch id or target (aux -1).
+func decodeOp(in *ir.Instr) opRec {
+	read := func(r ir.Reg) int8 {
+		if !r.Valid() {
+			return 0
 		}
 		return int8(r.Index())
 	}
-	return opRec{src1: dense(in.Src1), src2: dense(in.Src2), dest: dense(in.Dest),
-		lat: uint8(machine.Latency(in.Op))}
+	op := opRec{op: in.Op, lat: uint8(machine.Latency(in.Op)),
+		src1: read(in.Src1), src2: read(in.Src2), dest: -1,
+		cycle: int16(in.Cycle), imm: int32(in.Imm), aux: -1}
+	if in.Dest.Valid() && !in.Dest.IsZero() {
+		op.dest = int8(in.Dest.Index())
+	}
+	if in.Spec {
+		op.flags |= fSpec
+	}
+	if !in.Src2.Valid() {
+		op.flags |= fImm
+	}
+	intOnly := func(r ir.Reg) bool { return !r.Valid() || r.Class == ir.IntClass }
+	switch in.Op {
+	case ir.Ld, ir.Ldb, ir.Fld:
+		op.flags |= fFast
+	default:
+		if intOp(in.Op) && intOnly(in.Src1) && intOnly(in.Src2) && intOnly(in.Dest) {
+			op.flags |= fFast
+		}
+	}
+	if in.Cycle < math.MinInt16 || in.Cycle > math.MaxInt16 || in.Imm != int64(op.imm) {
+		op.flags |= fWide
+	}
+	return op
 }
 
-// ProgIndex is a dense PC-indexed acceleration structure for Run: per-PC
-// (block, instruction) positions for recovery restarts, per-PC branch
-// target block indices so a taken transfer does not pay prog.BlockIndex's
-// linear label scan on every redirect, and per-instruction operand records
-// so the issue path decodes no register operand. Build one with
-// NewProgIndex and pass it via Options.Index to amortise the construction
-// across the many runs of a single scheduled program (Run otherwise builds
-// its own, once, up front).
+// ProgIndex is a dense acceleration structure for Run: one operand record
+// per instruction in layout order (block bi's are ops[opsAt[bi]:opsAt[bi+1]],
+// indexed like its Instrs), carrying the branch id or jump target a control
+// transfer needs, so the issue path decodes no operand and a redirect pays
+// no label lookup. Under prog.Layout's numbering PC k is ops[k], so a
+// recovery restart finds its position by binary search on opsAt. Build one
+// with NewProgIndex and pass it via Options.Index to amortise the
+// construction across the many runs of a single scheduled program (Run
+// otherwise builds its own, once, up front).
 type ProgIndex struct {
 	p *prog.Program
 
-	// pos maps PC -> position when the program's PCs are the dense range
-	// 0..n-1 (the invariant prog.Layout establishes); posMap is the fallback
-	// for programs with gaps or duplicates.
-	pos    []pos
-	posMap map[int]pos
-
-	// targetBlock maps PC -> block index of that instruction's Target label,
-	// or -1 (no target, unknown label, or runtime routine).
-	targetBlock []int32
-
 	byLabel map[string]int32
 
-	// ops holds every instruction's operand record in layout order; block
-	// bi's records are ops[opsAt[bi]:opsAt[bi+1]], indexed like its Instrs.
 	ops   []opRec
 	opsAt []int32
 
+	// posMap maps PC -> position for programs whose PCs are not their
+	// layout positions (not laid out); nil after prog.Layout.
+	posMap map[int]pos
+
 	// Branch-history footprint: every conditional branch gets a dense id so
-	// predictor tables index by a small integer instead of hashing PCs, and
-	// its static (backward-taken/forward-not-taken) prediction is resolved
-	// at build time. branchID is PC-indexed in the dense layout; branchIDMap
-	// is the sparse fallback. staticTaken is indexed by branch id.
-	branchID    []int32
-	branchIDMap map[int]int32
+	// predictor tables index by a small integer instead of hashing PCs.
+	// brTarget is the branch's target block (-1 when the label names no
+	// block) and staticTaken its backward-taken/forward-not-taken
+	// prediction, both indexed by branch id.
+	brTarget    []int32
 	staticTaken []bool
 }
 
 // NumBranches reports the number of static conditional branches indexed.
 func (ix *ProgIndex) NumBranches() int { return len(ix.staticTaken) }
-
-// branchOf returns the dense branch id of the conditional branch at pc, or
-// -1 when pc holds no indexed branch.
-func (ix *ProgIndex) branchOf(pc int) int32 {
-	if ix.branchID != nil {
-		if pc < 0 || pc >= len(ix.branchID) {
-			return -1
-		}
-		return ix.branchID[pc]
-	}
-	if id, ok := ix.branchIDMap[pc]; ok {
-		return id
-	}
-	return -1
-}
 
 // StaticPrediction reports the backward-taken/forward-not-taken prediction
 // of branch id b: taken iff the branch's target block does not lie after
@@ -116,95 +158,71 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 			ix.byLabel[b.Label] = int32(bi)
 		}
 	}
-
-	dense := true
-	seen := make([]bool, n)
+	k, branches := 0, 0
 	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
-			if in.PC < 0 || in.PC >= n || seen[in.PC] {
-				dense = false
-				break
+			if in.PC != k && ix.posMap == nil {
+				ix.posMap = make(map[int]pos, n)
 			}
-			seen[in.PC] = true
-		}
-		if !dense {
-			break
+			if ir.IsBranch(in.Op) {
+				branches++
+			}
+			k++
 		}
 	}
-
-	if dense {
-		ix.pos = make([]pos, n)
-		ix.targetBlock = make([]int32, n)
-		ix.branchID = make([]int32, n)
-		for i := range ix.branchID {
-			ix.branchID[i] = -1
-		}
-	} else {
-		ix.posMap = make(map[int]pos, n)
-		ix.branchIDMap = make(map[int]int32)
-	}
+	ix.brTarget = make([]int32, 0, branches)
+	ix.staticTaken = make([]bool, 0, branches)
 	for bi, b := range p.Blocks {
 		ix.opsAt = append(ix.opsAt, int32(len(ix.ops)))
 		for ii, in := range b.Instrs {
-			ix.ops = append(ix.ops, decodeOps(in))
+			if ix.posMap != nil {
+				ix.posMap[in.PC] = pos{int32(bi), int32(ii)}
+			}
+			op := decodeOp(in)
 			tb := int32(-1)
 			if in.Target != "" {
 				if t, ok := ix.byLabel[in.Target]; ok {
 					tb = t
 				}
 			}
-			if dense {
-				ix.pos[in.PC] = pos{int32(bi), int32(ii)}
-				ix.targetBlock[in.PC] = tb
-			} else {
-				ix.posMap[in.PC] = pos{int32(bi), int32(ii)}
-			}
-			if ir.IsBranch(in.Op) {
-				id := int32(len(ix.staticTaken))
-				if dense {
-					ix.branchID[in.PC] = id
-				} else {
-					ix.branchIDMap[in.PC] = id
-				}
+			switch {
+			case ir.IsBranch(in.Op):
+				op.aux = int32(len(ix.staticTaken))
+				ix.brTarget = append(ix.brTarget, tb)
 				// Backward (target block at or before this one in layout
 				// order) predicts taken; forward or unresolved, not-taken.
 				ix.staticTaken = append(ix.staticTaken, tb >= 0 && tb <= int32(bi))
+			case in.Op == ir.Jmp:
+				op.aux = tb
 			}
+			ix.ops = append(ix.ops, op)
 		}
 	}
 	ix.opsAt = append(ix.opsAt, int32(len(ix.ops)))
 	return ix
 }
 
-// blockOps returns block bi's operand records, indexed like its Instrs.
-func (ix *ProgIndex) blockOps(bi int) []opRec {
-	return ix.ops[ix.opsAt[bi]:ix.opsAt[bi+1]]
-}
-
-// lookup returns the position of pc, for recovery restarts.
-func (ix *ProgIndex) lookup(pc int) (pos, bool) {
-	if ix.pos != nil {
-		if pc < 0 || pc >= len(ix.pos) {
-			return pos{}, false
-		}
-		return ix.pos[pc], true
-	}
-	rp, ok := ix.posMap[pc]
-	return rp, ok
-}
-
-// blockOf resolves a control transfer: the block index of the label targeted
-// by the instruction at pc, or -1 when the label names no block (matching
-// prog.BlockIndex). The per-PC precomputation covers the scheduled-program
-// hot path; the label map covers everything else.
-func (ix *ProgIndex) blockOf(pc int, label string) int {
-	if ix.targetBlock != nil && pc >= 0 && pc < len(ix.targetBlock) {
-		if tb := ix.targetBlock[pc]; tb >= 0 {
-			return int(tb)
-		}
-	}
+// blockByLabel returns the index of the block labelled label, or -1
+// (matching prog.BlockIndex).
+func (ix *ProgIndex) blockByLabel(label string) int {
 	if bi, ok := ix.byLabel[label]; ok {
 		return int(bi)
 	}
 	return -1
+}
+
+// lookup returns the position of pc, for recovery restarts.
+func (ix *ProgIndex) lookup(pc int) (pos, bool) {
+	if ix.posMap != nil {
+		rp, ok := ix.posMap[pc]
+		return rp, ok
+	}
+	if pc < 0 || pc >= len(ix.ops) {
+		return pos{}, false
+	}
+	// The last block starting at or before pc holds it (an empty block
+	// shares its start with its successor and sorts first).
+	nb := len(ix.opsAt) - 1
+	bi := sort.Search(nb, func(b int) bool { return int(ix.opsAt[b]) > pc }) - 1
+	return pos{int32(bi), int32(pc) - ix.opsAt[bi]}, true
 }

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"sentinel/internal/ir"
 	"sentinel/internal/machine"
 	"sentinel/internal/mem"
 	"sentinel/internal/prog"
+	"sentinel/internal/workload"
 )
 
 // loopProgram is a counting loop whose backward branch is taken n-1 times:
@@ -130,5 +133,88 @@ func TestProgIndexRecoveryLookup(t *testing.T) {
 	}
 	if len(res.Out) != 1 || res.Out[0] != 7 {
 		t.Errorf("out = %v, want [7] (re-executed load after repair)", res.Out)
+	}
+}
+
+// TestProgIndexFootprint bounds the index's retained size: the operand
+// record is 16 bytes, and with the block starts and the per-branch target
+// and static prediction the whole index stays within 20 bytes per
+// instruction on every workload's schedule (the cached schedules of a
+// serving process each hold one).
+func TestProgIndexFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(opRec{}); sz != 16 {
+		t.Errorf("opRec is %d bytes, want 16", sz)
+	}
+	md := machine.Base(8, machine.SentinelStores)
+	for _, w := range workload.All() {
+		sched, _ := schedFor(t, w.Name, md)
+		ix := NewProgIndex(sched)
+		if ix.posMap != nil {
+			t.Fatalf("%s: laid-out schedule fell back to the PC map", w.Name)
+		}
+		bytes := cap(ix.ops)*int(unsafe.Sizeof(opRec{})) +
+			cap(ix.opsAt)*int(unsafe.Sizeof(int32(0))) +
+			cap(ix.brTarget)*int(unsafe.Sizeof(int32(0))) +
+			cap(ix.staticTaken)*int(unsafe.Sizeof(false))
+		per := float64(bytes) / float64(len(ix.ops))
+		if per > 20 {
+			t.Errorf("%s: index retains %.2f bytes per instruction, want at most 20", w.Name, per)
+		}
+		t.Logf("%s: %d instrs, %.2f bytes/instr", w.Name, len(ix.ops), per)
+	}
+}
+
+// TestProgIndexLookup checks the recovery-restart lookup against every
+// instruction's position, including across empty blocks, and that PCs
+// outside the program are not found.
+func TestProgIndexLookup(t *testing.T) {
+	p := prog.NewProgram()
+	p.AddBlock("a", ir.LI(ir.R(1), 1), ir.LI(ir.R(2), 2))
+	p.AddBlock("empty")
+	p.AddBlock("b", ir.LI(ir.R(3), 3))
+	p.AddBlock("empty2")
+	p.AddBlock("c", ir.LI(ir.R(4), 4), ir.HALT())
+	p.Layout()
+	ix := NewProgIndex(p)
+	for bi, b := range p.Blocks {
+		for ii, in := range b.Instrs {
+			rp, ok := ix.lookup(in.PC)
+			if !ok || rp != (pos{int32(bi), int32(ii)}) {
+				t.Errorf("lookup(%d) = %v %v, want {%d %d}", in.PC, rp, ok, bi, ii)
+			}
+		}
+	}
+	for _, pc := range []int{-1, 5, 100} {
+		if _, ok := ix.lookup(pc); ok {
+			t.Errorf("lookup(%d) found a position outside the program", pc)
+		}
+	}
+}
+
+// TestInstructionBudget pins the budget cut: Run checks the budget once per
+// block visit, and must fail exactly when the program needs more dynamic
+// instructions than allowed, whichever instruction of whichever block the
+// budget runs out on.
+func TestInstructionBudget(t *testing.T) {
+	p := loopProgram(10)
+	md := machine.Base(2, machine.Sentinel)
+	full, err := Run(p, md, mem.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.Instrs
+	for _, budget := range []int64{-1, 1, 2, 3, 4, 5, n / 2, n - 3, n - 2, n - 1, n, n + 1} {
+		res, err := Run(p, md, mem.New(), Options{MaxInstrs: budget})
+		if budget < n {
+			want := fmt.Sprintf("sim: instruction budget exceeded (%d)", budget)
+			if err == nil || err.Error() != want {
+				t.Errorf("budget %d of %d: err = %v, want %q", budget, n, err, want)
+			}
+			continue
+		}
+		if err != nil || res.Instrs != n || res.Cycles != full.Cycles {
+			t.Errorf("budget %d of %d: instrs %d cycles %d err %v, want %d %d <nil>",
+				budget, n, res.Instrs, res.Cycles, err, n, full.Cycles)
+		}
 	}
 }

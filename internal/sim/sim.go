@@ -2,8 +2,8 @@
 // It models the paper's machine: an in-order VLIW/superscalar with CRAY-1
 // style scoreboard interlocks and deterministic latencies (Table 3), an
 // exception-tagged register file implementing the sentinel semantics of
-// Table 1, a PC history queue, and a store buffer with probationary entries
-// implementing Table 2 for speculative stores.
+// Table 1, and a store buffer with probationary entries implementing Table 2
+// for speculative stores.
 //
 // Instructions execute in schedule order with immediate architectural
 // effect; the scoreboard provides timing (stalls), and a taken branch
@@ -102,7 +102,6 @@ type Result struct {
 // Machine is the simulated processor state.
 type Machine struct {
 	md   machine.Desc
-	p    *prog.Program
 	Mem  *mem.Memory
 	Int  [ir.NumIntRegs]int64
 	FP   [ir.NumFPRegs]float64
@@ -110,9 +109,7 @@ type Machine struct {
 
 	readyAt  [ir.NumIntRegs + ir.NumFPRegs]int64
 	buf      *storeBuffer
-	pcq      *PCQueue
 	boost    *shadowFile // shadow register files (boosting model only)
-	curLvl   int         // boost level of the currently executing instruction
 	usesTags bool        // md.Model.UsesTags(), hoisted out of exec
 	out      []int64
 
@@ -159,6 +156,33 @@ func (m *Machine) rawAt(r int8) int64 {
 	return int64(math.Float64bits(m.FP[r-ir.NumIntRegs]))
 }
 
+// setRawAt is SetRaw for the register with dense index r (-1, no register
+// or r0, is ignored).
+func (m *Machine) setRawAt(r int8, v int64) {
+	switch {
+	case r >= ir.NumIntRegs:
+		m.FP[r-ir.NumIntRegs] = math.Float64frombits(uint64(v))
+	case r >= 0:
+		m.Int[r] = v
+	}
+}
+
+// intAt reads the integer register numbered like the operand with dense
+// index r, whatever its class: address, comparison and runtime-call
+// operands read the integer file by register number, as the reference
+// interpreter does. NumIntRegs is a power of two, so the mask is the
+// register number.
+func (m *Machine) intAt(r int8) int64 { return m.Int[r&(ir.NumIntRegs-1)] }
+
+// intSrc2 is an integer op's or a branch's second operand: Src2 read by
+// register number, or the immediate when the record has no Src2.
+func (m *Machine) intSrc2(op *opRec, imm int64) int64 {
+	if op.flags&fImm != 0 {
+		return imm
+	}
+	return m.intAt(op.src2)
+}
+
 // setTag sets or clears the exception tag of the register with dense index
 // r (-1, no register or r0, is ignored).
 func (m *Machine) setTag(r int8, t Tag) {
@@ -170,12 +194,12 @@ func (m *Machine) setTag(r int8, t Tag) {
 // firstTaggedSrc returns the dense index of the first source operand whose
 // exception tag is set (Table 1: "the first source operand of I whose
 // exception tag is set"), or -1.
-func (m *Machine) firstTaggedSrc(op opRec) int8 {
-	if r := op.src1; r >= 0 && m.Tags[r].Set {
-		return r
+func (m *Machine) firstTaggedSrc(op *opRec) int8 {
+	if m.Tags[op.src1].Set {
+		return op.src1
 	}
-	if r := op.src2; r >= 0 && m.Tags[r].Set {
-		return r
+	if m.Tags[op.src2].Set {
+		return op.src2
 	}
 	return -1
 }
@@ -214,6 +238,12 @@ func newMachine(md machine.Desc) *Machine {
 	return &bm.Machine
 }
 
+// pcQueueSize is the depth of §3.2's PC history queue: enough to cover the
+// longest instruction latency (10 cycles in Table 3) at any issue width the
+// paper studies. The simulator detects every exception at issue, knowing
+// the instruction's PC, so the queue itself reduces to its occupancy.
+const pcQueueSize = 32
+
 // Run simulates the scheduled program p on machine md with the given data
 // memory (mutated in place). The program must be laid out (Layout).
 func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*Result, error) {
@@ -224,10 +254,8 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 		opts.MaxInstrs = 200_000_000
 	}
 	m := newMachine(md)
-	m.p = p
 	m.Mem = memory
 	m.buf = newStoreBuffer(md.StoreBuffer)
-	m.pcq = NewPCQueue(32)
 	m.usesTags = md.Model.UsesTags()
 	m.trace = opts.Trace
 	m.out = make([]int64, 0, 32)
@@ -236,10 +264,10 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 		res.Exceptions = make([]Exception, 0, 8)
 	}
 
-	// The PC index maps PCs to (block, instruction) positions for recovery
-	// restarts and precomputes branch-target block indices for redirects.
-	// It is built exactly once per program: either by the caller (shared
-	// across runs via Options.Index) or here, up front.
+	// The index holds every instruction's operand record, for the issue
+	// path, and the positions and targets control transfers and recovery
+	// restarts need. It is built exactly once per program: either by the
+	// caller (shared across runs via Options.Index) or here, up front.
 	idx := opts.Index
 	if idx == nil || idx.p != p {
 		idx = NewProgIndex(p)
@@ -256,63 +284,68 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 	if md.Predictor != machine.PredPerfect {
 		pred = opts.Pred
 		if pred == nil {
-			pred = NewPredictor(md, idx)
+			pred = NewPredictor(md, idx) // built in its initial state
+		} else {
+			pred.Reset()
 		}
-		pred.Reset()
 		fetchBudget = max(1, md.IssueWidth/2)
 	}
 	throttleT := int64(-1)
 	throttleLeft := 0
 
+	// Executions are counted per block visit, not per instruction: counts
+	// is a difference array over idx.ops (a visit running ops [s, e) adds 1
+	// at s and subtracts 1 at e), folded into Instrs, OpMix and SpecOps by
+	// finishResult.
+	counts := make([]int64, len(idx.ops)+1)
+	// An op marked fFast runs inline unless it is boosted (it would write
+	// the shadow file) or a source is tagged (Table 1 propagation or signal).
+	fastMask := fFast
+	if m.boost != nil {
+		fastMask |= fSpec
+	}
+
 	now := int64(0)
-	bi := idx.blockOf(-1, p.Entry)
+	bi := idx.blockByLabel(p.Entry)
 	start := 0 // instruction index to start at within the block (recovery)
 	for bi >= 0 && bi < len(p.Blocks) {
 		b := p.Blocks[bi]
-		ops := idx.blockOps(bi)
+		base := int(idx.opsAt[bi])
+		ops := idx.ops[base:idx.opsAt[bi+1]]
 		blockStart := now
-		if start > 0 && start < len(b.Instrs) {
+		if start > 0 && start < len(ops) {
 			// Restarting mid-block: align the schedule so the restart
 			// instruction issues now.
 			blockStart = now - int64(b.Instrs[start].Cycle)
+		}
+		// The instruction budget is checked once per visit: the visit is cut
+		// where the budget runs out, and reaching the cut is the error.
+		end := len(ops)
+		if rem := max(opts.MaxInstrs-m.instrs, 0); int64(end-start) > rem {
+			end = start + int(rem)
 		}
 		redirect := -1     // next block index when a transfer happens
 		redirectStart := 0 // instruction index within redirect target
 		halted := false
 		last := now
+		stop := end // one past the last instruction this visit executes
 
-		for i := start; i < len(b.Instrs); i++ {
-			in, op := b.Instrs[i], ops[i]
-			m.instrs++
-			if m.instrs > opts.MaxInstrs {
-				return res, fmt.Errorf("sim: instruction budget exceeded (%d)", opts.MaxInstrs)
+		for i := start; i < end; i++ {
+			op := &ops[i]
+			rel, imm := int(op.cycle), int64(op.imm)
+			if op.flags&fWide != 0 {
+				in := b.Instrs[i]
+				rel, imm = in.Cycle, in.Imm
 			}
-
 			// Issue timing: scheduled slot adjusted for accumulated drift,
-			// delayed by scoreboard interlocks on source operands. An
-			// unscheduled program (Cycle < 0) degenerates to one
-			// instruction per cycle.
-			rel := in.Cycle
+			// delayed by scoreboard interlocks on source operands (in-order:
+			// never earlier than an older instruction). An unscheduled
+			// program (Cycle < 0) degenerates to one instruction per cycle.
 			if rel < 0 {
 				rel = i
 			}
 			tSched := blockStart + int64(rel)
-			t := tSched
-			if t < last {
-				t = last // in-order issue: never earlier than an older instruction
-			}
-			// Scoreboard check on the pre-decoded source operands: this is
-			// the simulator's per-dynamic-instruction hot path.
-			if r := op.src1; r >= 0 {
-				if ra := m.readyAt[r]; ra > t {
-					t = ra
-				}
-			}
-			if r := op.src2; r >= 0 {
-				if ra := m.readyAt[r]; ra > t {
-					t = ra
-				}
-			}
+			t := max(tSched, last, m.readyAt[op.src1], m.readyAt[op.src2])
 			if t > tSched {
 				m.stats.InterlockStalls += t - tSched
 				blockStart += t - tSched // in-order: the whole stream slips
@@ -332,19 +365,57 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			}
 			last = t
 
-			m.stats.OpMix[in.Op]++
-			if in.Spec {
-				m.stats.SpecOps++
-			}
 			if m.trace != nil {
+				in := b.Instrs[i]
 				m.trace.Slice(traceSlot(in), in.Op.String(), t,
 					int64(op.lat), in.PC, in.Spec)
 			}
 
-			ev, err := m.exec(in, op, t)
-			if err != nil {
-				res.Cycles = t
-				return res, err
+			untagged := !m.Tags[op.src1].Set && !m.Tags[op.src2].Set
+			branch := ir.IsBranch(op.op)
+			var ev event
+			switch {
+			case op.flags&fastMask == fFast && untagged:
+				// The inline path: Table 1's untagged rows, speculative or
+				// not. A value clears the destination's tag; a load's fault
+				// takes the exception rows.
+				var v int64
+				exc := ir.ExcNone
+				switch op.op {
+				case ir.Li:
+					v = imm
+				case ir.Mov:
+					v = m.intAt(op.src1)
+				case ir.Ld, ir.Ldb, ir.Fld:
+					raw, f := m.buf.loadOverlay(m.rawAt(op.src1)+imm, ir.MemSize(op.op), m.Mem)
+					if v = int64(raw); f != nil {
+						exc = f.Kind
+					}
+				default:
+					v = ir.IntALUOp(op.op, m.intAt(op.src1), m.intSrc2(op, imm))
+				}
+				if exc == ir.ExcNone {
+					if d := op.dest; d >= 0 {
+						m.setRawAt(d, v)
+						m.Tags[d] = Tag{}
+						m.readyAt[d] = t + int64(op.lat)
+					}
+					continue
+				}
+				ev = m.excepted(b.Instrs[i], op, t, exc)
+			case branch && untagged && m.boost == nil:
+				// A conditional branch resolves inline unless a source is
+				// tagged (it is the sentinel) or boosting must commit or
+				// discard shadow state.
+				if ir.CondHolds(op.op, m.intAt(op.src1), m.intSrc2(op, imm)) {
+					ev.flow = flowTaken
+				}
+			default:
+				var err error
+				if ev, err = m.exec(b.Instrs[i], op, imm, t); err != nil {
+					res.Cycles = t
+					return res, err
+				}
 			}
 			if ev.stall > 0 {
 				m.stats.StoreBufferStalls += ev.stall
@@ -352,8 +423,9 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				last = t + ev.stall
 			}
 			if ev.signalled() {
+				in := b.Instrs[i]
 				m.stats.SentinelSignals++
-				if in.Op == ir.Check {
+				if op.op == ir.Check {
 					m.stats.CheckFires++
 				}
 				if m.trace != nil {
@@ -362,7 +434,8 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				exc := Exception{ReportedPC: ev.reportPC, ByPC: in.PC, Kind: ev.kind, Cycle: t}
 				if opts.Handler == nil || !opts.Handler(exc, m) {
 					res.Cycles = t
-					finishResult(res, m)
+					m.countVisit(counts, base+start, base+i+1)
+					finishResult(res, m, idx.ops, counts)
 					return res, &abort{exc}
 				}
 				res.Exceptions = append(res.Exceptions, exc)
@@ -375,6 +448,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				}
 				redirect, redirectStart = int(rp.block), int(rp.idx)
 				now = t + 1
+				stop = i + 1
 				break
 			}
 			// Consult the branch-prediction frontend for every resolved
@@ -383,16 +457,15 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			// under the perfect frontend, so everything below degenerates
 			// to the classic timing.
 			mispredicted := false
-			if pred != nil && ir.IsBranch(in.Op) {
-				if bid := idx.branchOf(in.PC); bid >= 0 {
-					predTaken := pred.Predict(bid)
-					pred.Update(bid, ev.taken())
-					m.stats.PredictedBranches++
-					if predTaken != ev.taken() {
-						mispredicted = true
-						m.stats.Mispredicts++
-						m.stats.MispredictCycles += int64(m.md.MispredictPenalty)
-					}
+			if pred != nil && branch {
+				bid := op.aux
+				predTaken := pred.Predict(bid)
+				pred.Update(bid, ev.taken())
+				m.stats.PredictedBranches++
+				if predTaken != ev.taken() {
+					mispredicted = true
+					m.stats.Mispredicts++
+					m.stats.MispredictCycles += int64(m.md.MispredictPenalty)
 				}
 			}
 			if ev.taken() {
@@ -401,8 +474,10 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				// leaving the block loop. A taken conditional branch is a
 				// (compile-time) branch misprediction: cancel probationary
 				// store-buffer entries (§4.1).
-				if ir.IsBranch(in.Op) {
+				target := op.aux
+				if branch {
 					m.buf.cancelProbationary()
+					target = idx.brTarget[op.aux]
 				}
 				m.stats.BranchRedirects++
 				penalty := int64(machine.BranchTakenPenalty)
@@ -412,12 +487,16 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 					penalty = int64(m.md.MispredictPenalty)
 				}
 				m.stats.RedirectCycles += penalty
-				redirect = idx.blockOf(in.PC, in.Target)
+				redirect = int(target)
+				if target < 0 {
+					redirect = idx.blockByLabel(b.Instrs[i].Target)
+				}
 				now = t + 1 + penalty
 				if pred != nil {
 					throttleT = now
 					throttleLeft = fetchBudget
 				}
+				stop = i + 1
 				break
 			}
 			if mispredicted {
@@ -430,12 +509,14 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				throttleT = last
 				throttleLeft = fetchBudget
 			}
-			if in.Op == ir.Halt {
+			if op.op == ir.Halt {
 				halted = true
 				res.Cycles = t
+				stop = i + 1
 				break
 			}
 		}
+		m.countVisit(counts, base+start, base+stop)
 
 		if halted {
 			break
@@ -444,6 +525,9 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			bi = redirect
 			start = redirectStart
 			continue
+		}
+		if stop < len(ops) {
+			return res, fmt.Errorf("sim: instruction budget exceeded (%d)", opts.MaxInstrs)
 		}
 		// Fall through to the next block.
 		now = last + 1
@@ -464,24 +548,36 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 			res.Cycles = ra
 		}
 	}
-	finishResult(res, m)
+	finishResult(res, m, idx.ops, counts)
 	return res, nil
 }
 
-func finishResult(res *Result, m *Machine) {
-	// The PC queue only ever fills (a ring of issued PCs), so its final
-	// length is its high-water mark — recorded here, off the hot path.
-	m.stats.PCQueueHighWater = int64(m.pcq.Len())
+// countVisit records a block visit that executed ops [from, to) of the
+// index.
+func (m *Machine) countVisit(counts []int64, from, to int) {
+	if to > from {
+		counts[from]++
+		counts[to]--
+		m.instrs += int64(to - from)
+	}
+}
+
+// finishResult folds the per-visit execution counts into the opcode mix and
+// the speculative-op count, and fills res from the machine.
+func finishResult(res *Result, m *Machine, ops []opRec, counts []int64) {
+	var n int64
+	for k := range ops {
+		if n += counts[k]; n != 0 {
+			m.stats.OpMix[ops[k].op] += n
+			if ops[k].flags&fSpec != 0 {
+				m.stats.SpecOps += n
+			}
+		}
+	}
+	m.stats.PCQueueHighWater = min(pcQueueSize, m.instrs)
 	res.Instrs = m.instrs
 	res.Stats = m.stats
 	res.Stalls = m.stats.Stalls()
 	res.Out = m.out
 	res.MemSum = m.Mem.Checksum()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -183,8 +183,8 @@ func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64,
 		if e.ExcSet && !e.Confirmed {
 			continue
 		}
-		lo := max64(addr, e.Addr)
-		hi := min64(end, e.Addr+int64(e.Size))
+		lo := max(addr, e.Addr)
+		hi := min(end, e.Addr+int64(e.Size))
 		for b := lo; b < hi; b++ {
 			bytes[b-addr] = byte(e.Data >> (8 * (b - e.Addr)))
 		}
@@ -277,18 +277,4 @@ func (sb *storeBuffer) drainAll(t int64, m *mem.Memory) int64 {
 		}
 	}
 	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

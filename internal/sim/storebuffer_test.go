@@ -151,35 +151,6 @@ func TestLoadOverlaySkipsExceptedProbationary(t *testing.T) {
 	}
 }
 
-func TestPCQueue(t *testing.T) {
-	q := NewPCQueue(4)
-	for pc := 0; pc < 6; pc++ {
-		q.Push(pc)
-	}
-	if q.Len() != 4 {
-		t.Errorf("Len = %d", q.Len())
-	}
-	for pc := 2; pc < 6; pc++ {
-		if !q.Contains(pc) {
-			t.Errorf("pc %d must be recorded", pc)
-		}
-	}
-	for _, pc := range []int{0, 1, 99} {
-		if q.Contains(pc) {
-			t.Errorf("pc %d must have aged out", pc)
-		}
-	}
-}
-
-func TestPCQueueSizeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-size queue must panic")
-		}
-	}()
-	NewPCQueue(0)
-}
-
 // Property: after any sequence of confirmed inserts and drains, memory
 // reflects exactly the youngest store per address.
 func TestBufferCoherenceQuick(t *testing.T) {

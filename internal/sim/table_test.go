@@ -13,7 +13,6 @@ func testMachine(model machine.Model) *Machine {
 		md:  machine.Base(8, model),
 		Mem: mem.New(),
 		buf: newStoreBuffer(8),
-		pcq: NewPCQueue(32),
 
 		usesTags: model.UsesTags(),
 	}
@@ -23,7 +22,8 @@ func testMachine(model machine.Model) *Machine {
 
 // exec1 executes one instruction, decoding its operands as ProgIndex does.
 func (m *Machine) exec1(in *ir.Instr, t int64) (event, error) {
-	return m.exec(in, decodeOps(in), t)
+	op := decodeOp(in)
+	return m.exec(in, &op, in.Imm, t)
 }
 
 // tag and setRegTag address a register's exception tag by name.

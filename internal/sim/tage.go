@@ -85,10 +85,10 @@ type tage struct {
 // lookup spell them out in this order).
 var tageFoldWidths = [...]int{tageLogSize, tageTagBits, tageTagBits - 1}
 
+// newTAGE builds a predictor in its initial (Reset) state: the tables are
+// zero as allocated.
 func newTAGE(ix *ProgIndex) *tage {
-	t := &tage{ix: ix, meta: make([]int8, ix.NumBranches())}
-	t.Reset()
-	return t
+	return &tage{ix: ix, meta: make([]int8, ix.NumBranches()), pBid: -1}
 }
 
 func (t *tage) Reset() {
