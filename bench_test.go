@@ -89,13 +89,15 @@ func BenchmarkTable2Semantics(b *testing.B) {
 
 // BenchmarkFigure4 regenerates Figure 4: speedups of sentinel scheduling vs
 // restricted percolation at issue 2, 4 and 8 over all 17 kernels. The
-// paper's headline group improvements are reported as custom metrics.
+// paper's headline group improvements are reported as custom metrics. Each
+// iteration gets a fresh serial Runner, so none is served from the cache of
+// another.
 func BenchmarkFigure4(b *testing.B) {
 	models := []machine.Model{machine.Restricted, machine.Sentinel}
 	var rs []*eval.BenchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.RunAll(models, eval.Widths, superblock.Options{})
+		rs, err = eval.NewRunner(1).RunAll(models, eval.Widths, superblock.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,13 +109,14 @@ func BenchmarkFigure4(b *testing.B) {
 }
 
 // BenchmarkFigure5 regenerates Figure 5: general percolation, sentinel
-// scheduling and sentinel scheduling with speculative stores.
+// scheduling and sentinel scheduling with speculative stores, each
+// iteration on a fresh Runner as in BenchmarkFigure4.
 func BenchmarkFigure5(b *testing.B) {
 	models := []machine.Model{machine.General, machine.Sentinel, machine.SentinelStores}
 	var rs []*eval.BenchResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, err = eval.RunAll(models, eval.Widths, superblock.Options{})
+		rs, err = eval.NewRunner(1).RunAll(models, eval.Widths, superblock.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

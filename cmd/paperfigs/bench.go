@@ -15,6 +15,7 @@ import (
 
 	"sentinel/internal/asm"
 	"sentinel/internal/core"
+	"sentinel/internal/eval"
 	"sentinel/internal/fingerprint"
 	"sentinel/internal/fleet"
 	"sentinel/internal/machine"
@@ -23,7 +24,6 @@ import (
 	"sentinel/internal/prog"
 	"sentinel/internal/server"
 	"sentinel/internal/sim"
-	"sentinel/internal/superblock"
 	"sentinel/internal/workload"
 )
 
@@ -75,13 +75,10 @@ func benchFormed(name string) (*prog.Program, *mem.Memory, error) {
 		return nil, nil, fmt.Errorf("benchjson: unknown workload %q", name)
 	}
 	p, m := w.Build()
-	p.Layout()
-	ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
+	f, _, err := eval.Front(p, m, eval.FrontOptions{Form: true})
 	if err != nil {
 		return nil, nil, err
 	}
-	f := superblock.Form(p, ref.Profile, superblock.Options{})
-	f.Layout()
 	return f, m, nil
 }
 

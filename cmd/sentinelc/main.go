@@ -8,15 +8,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"sentinel/internal/asm"
 	"sentinel/internal/core"
+	"sentinel/internal/eval"
 	"sentinel/internal/machine"
 	"sentinel/internal/mem"
-	"sentinel/internal/opt"
 	"sentinel/internal/prog"
 	"sentinel/internal/superblock"
 	"sentinel/internal/workload"
@@ -29,7 +30,6 @@ func main() {
 	unroll := flag.Int("unroll", 0, "unroll factor (0 = default)")
 	recovery := flag.Bool("recovery", false, "enforce §3.7 restartable-sequence constraints")
 	wl := flag.String("workload", "", "compile a built-in benchmark kernel instead of a source file")
-	optimize := flag.Bool("O", false, "run classical optimizations (constant folding, copy propagation, DCE) before scheduling")
 	stats := flag.Bool("stats", true, "print scheduling statistics")
 	flag.Parse()
 
@@ -60,21 +60,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	p.Layout()
-	if *optimize {
-		os_ := opt.Optimize(p)
-		fmt.Fprintf(os.Stderr, "opt: %d folded, %d propagated, %d eliminated\n",
-			os_.Folded, os_.Propagated, os_.Eliminated)
-	}
-	if *form {
-		ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
-		if err != nil {
-			fatal(fmt.Errorf("profiling run: %w", err))
+	p, _, err = eval.Front(p, m, eval.FrontOptions{Form: *form, SBO: superblock.Options{Unroll: *unroll}})
+	if err != nil {
+		var se *eval.StageError
+		if errors.As(err, &se) && se.Stage == eval.StageReference {
+			err = fmt.Errorf("profiling run: %w", err)
 		}
-		p = superblock.Form(p, ref.Profile, superblock.Options{Unroll: *unroll})
-		p.Layout()
+		fatal(err)
 	}
-	sched, st, err := core.Schedule(p, md)
+	sched, st, err := core.ScheduleOwned(p, md)
 	if err != nil {
 		fatal(err)
 	}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -142,19 +143,17 @@ type runOpts struct {
 // exception); an error is a fatal condition. Split from main so tests can
 // golden-pin the -stats output.
 func simulate(p *prog.Program, m *mem.Memory, md machine.Desc, o runOpts, w io.Writer) (code int, err error) {
-	p.Layout()
-
-	var ref *prog.Result
-	if o.verify || o.form {
-		if ref, err = prog.Run(p, m.Clone(), prog.Options{Collect: true}); err != nil {
-			return 0, fmt.Errorf("reference run: %w", err)
+	// The reference run is taken only when formation or verification
+	// needs it.
+	p, ref, err := eval.Front(p, m, eval.FrontOptions{Form: o.form, Reference: o.verify})
+	if err != nil {
+		var se *eval.StageError
+		if errors.As(err, &se) && se.Stage == eval.StageReference {
+			err = fmt.Errorf("reference run: %w", err)
 		}
+		return 0, err
 	}
-	if o.form {
-		p = superblock.Form(p, ref.Profile, superblock.Options{})
-		p.Layout()
-	}
-	sched, _, err := core.Schedule(p, md)
+	sched, _, err := core.ScheduleOwned(p, md)
 	if err != nil {
 		return 0, err
 	}

@@ -6,8 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"sentinel/internal/asm"
 	"sentinel/internal/machine"
 	"sentinel/internal/obs"
 	"sentinel/internal/workload"
@@ -111,5 +113,38 @@ func TestTraceFileSchema(t *testing.T) {
 	}
 	if phases["f"] > phases["s"] {
 		t.Errorf("more flow ends (%d) than starts (%d)", phases["f"], phases["s"])
+	}
+}
+
+// TestSimulateFaultWithoutReference: with formation and verification off
+// no reference run is taken, so a program whose first load faults — one
+// the reference interpreter refuses — still reaches the simulator, which
+// reports the exception with exit code 3.
+func TestSimulateFaultWithoutReference(t *testing.T) {
+	const src = `
+entry:
+    li   r1, 4096
+    ld   r5, 0(r1)
+    jsr  putint, r5
+    halt
+`
+	md := machine.Base(4, machine.Sentinel)
+	p, m, err := asm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	code, err := simulate(p, m, md, runOpts{}, &buf)
+	if err != nil || code != 3 {
+		t.Fatalf("simulate: code %d err %v, want code 3 and no error", code, err)
+	}
+	if !strings.HasPrefix(buf.String(), "EXCEPTION: ") {
+		t.Errorf("report does not open with the exception:\n%s", buf.String())
+	}
+
+	p, m, _ = asm.Parse(src)
+	if _, err := simulate(p, m, md, runOpts{verify: true}, &buf); err == nil ||
+		!strings.HasPrefix(err.Error(), "reference run: ") {
+		t.Errorf("with -verify: err %v, want the reference run's failure", err)
 	}
 }

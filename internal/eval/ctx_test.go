@@ -67,12 +67,12 @@ func TestParallelForCtxCancelMidway(t *testing.T) {
 // immediately, while the in-flight computation completes and is cached for
 // subsequent callers.
 func TestFlightGetCtxWaiterAbandons(t *testing.T) {
-	var f flight[int, int]
+	var f Flight[int, int]
 	block := make(chan struct{})
 	computing := make(chan struct{})
 
 	go func() {
-		f.get(1, func() (int, error) { // owner: computes, slowly
+		f.Get(context.Background(), 1, func() (int, error) { // owner: computes, slowly
 			close(computing)
 			<-block
 			return 42, nil
@@ -83,13 +83,13 @@ func TestFlightGetCtxWaiterAbandons(t *testing.T) {
 	// Waiter with a deadline: must give up without waiting for the owner.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := f.getCtx(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := f.Get(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("waiter err = %v, want DeadlineExceeded", err)
 	}
 
 	// The owner finishes; the value is cached and served to new callers.
 	close(block)
-	v, err := f.getCtx(context.Background(), 1, func() (int, error) {
+	v, err := f.Get(context.Background(), 1, func() (int, error) {
 		t.Error("recompute after the owner cached the value")
 		return 0, nil
 	})
@@ -104,10 +104,10 @@ func TestFlightGetCtxWaiterAbandons(t *testing.T) {
 // request's timeout until process restart. Waiters already blocked on the
 // owner still see the error once; the next caller recomputes.
 func TestFlightGetCtxOwnerExpires(t *testing.T) {
-	var f flight[int, int]
+	var f Flight[int, int]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := f.getCtx(ctx, 1, func() (int, error) {
+	_, err := f.Get(ctx, 1, func() (int, error) {
 		<-ctx.Done() // the owner's pipeline stage observes its own expiry
 		return 0, fmt.Errorf("build: %w", ctx.Err())
 	})
@@ -118,11 +118,11 @@ func TestFlightGetCtxOwnerExpires(t *testing.T) {
 		t.Fatalf("cache holds %d entries after an owner-expired computation; the context error is poisoned in", n)
 	}
 	// A fresh caller recomputes and caches the real value.
-	v, err := f.getCtx(context.Background(), 1, func() (int, error) { return 42, nil })
+	v, err := f.Get(context.Background(), 1, func() (int, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("recompute = %d, %v; want 42, nil", v, err)
 	}
-	v, err = f.getCtx(context.Background(), 1, func() (int, error) {
+	v, err = f.Get(context.Background(), 1, func() (int, error) {
 		t.Error("recompute after a successful fill")
 		return 0, nil
 	})

@@ -49,27 +49,18 @@ type Cell struct {
 	Sim obs.SimStats
 }
 
-// Measurement errors wrap the benchmark name.
-
 // Measure compiles benchmark b for machine md (profiling on the training
 // input, forming superblocks, scheduling) and simulates it, verifying that
-// the architectural result matches the reference interpreter.
+// the architectural result matches the reference interpreter. It caches
+// nothing: it is the reference the Runner's cached cells are checked
+// against. Errors wrap the benchmark name.
 func Measure(b workload.Benchmark, md machine.Desc, sbo superblock.Options) (Cell, error) {
 	p, m := b.Build()
-	p.Layout()
-	if err := p.Validate(); err != nil {
-		return Cell{}, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
+	f, ref, err := Front(p, m, FrontOptions{Form: true, SBO: sbo})
 	if err != nil {
-		return Cell{}, fmt.Errorf("%s: reference: %w", b.Name, err)
+		return Cell{}, frontError(b.Name, err)
 	}
-	f := superblock.Form(p, ref.Profile, sbo)
-	f.Layout()
-	if err := f.Validate(); err != nil {
-		return Cell{}, fmt.Errorf("%s: formation: %w", b.Name, err)
-	}
-	sched, stats, err := core.Schedule(f, md)
+	sched, stats, err := core.ScheduleOwned(f, md)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s: schedule: %w", b.Name, err)
 	}
@@ -122,41 +113,6 @@ type BenchResult struct {
 // Speedup returns the speedup of a configuration over the base machine.
 func (r *BenchResult) Speedup(model machine.Model, width int) float64 {
 	return r.Cells[Key{model, width}].Speedup
-}
-
-// Run measures benchmark b under every model in models at every width,
-// plus the base machine.
-func Run(b workload.Benchmark, models []machine.Model, widths []int, sbo superblock.Options) (*BenchResult, error) {
-	base, err := Measure(b, machine.Base(1, machine.Restricted), sbo)
-	if err != nil {
-		return nil, err
-	}
-	base.Speedup = 1
-	out := &BenchResult{Name: b.Name, Numeric: b.Numeric, Base: base, Cells: map[Key]Cell{}}
-	for _, model := range models {
-		for _, w := range widths {
-			c, err := Measure(b, machine.Base(w, model), sbo)
-			if err != nil {
-				return nil, err
-			}
-			c.Speedup = float64(base.Cycles) / float64(c.Cycles)
-			out.Cells[Key{model, w}] = c
-		}
-	}
-	return out, nil
-}
-
-// RunAll measures every registered benchmark.
-func RunAll(models []machine.Model, widths []int, sbo superblock.Options) ([]*BenchResult, error) {
-	var out []*BenchResult
-	for _, b := range workload.All() {
-		r, err := Run(b, models, widths, sbo)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // GroupAverage returns the arithmetic-mean speedup of a configuration over

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sentinel/internal/obs"
 )
 
 var flightShardCounts = []int{1, 4, 16}
@@ -23,11 +25,11 @@ var flightShardCounts = []int{1, 4, 16}
 func TestFlightShardWaiterAbandons(t *testing.T) {
 	for _, n := range flightShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFlight[int, int](n)
+			f := &Flight[int, int]{nshards: n}
 			block := make(chan struct{})
 			computing := make(chan struct{})
 			go func() {
-				f.get(1, func() (int, error) {
+				f.Get(context.Background(), 1, func() (int, error) {
 					close(computing)
 					<-block
 					return 42, nil
@@ -37,12 +39,12 @@ func TestFlightShardWaiterAbandons(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			defer cancel()
-			if _, err := f.getCtx(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := f.Get(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("waiter err = %v, want DeadlineExceeded", err)
 			}
 
 			close(block)
-			v, err := f.getCtx(context.Background(), 1, func() (int, error) {
+			v, err := f.Get(context.Background(), 1, func() (int, error) {
 				t.Error("recompute after the owner cached the value")
 				return 0, nil
 			})
@@ -59,12 +61,12 @@ func TestFlightShardWaiterAbandons(t *testing.T) {
 func TestFlightShardOwnerExpires(t *testing.T) {
 	for _, n := range flightShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFlight[int, int](n)
+			f := &Flight[int, int]{nshards: n}
 			// Spread keys so at least one lands in a non-zero shard when
 			// striping is real.
 			for k := 0; k < 8; k++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-				_, err := f.getCtx(ctx, k, func() (int, error) {
+				_, err := f.Get(ctx, k, func() (int, error) {
 					<-ctx.Done()
 					return 0, fmt.Errorf("build: %w", ctx.Err())
 				})
@@ -77,7 +79,7 @@ func TestFlightShardOwnerExpires(t *testing.T) {
 				t.Fatalf("cache holds %d entries after owner-expired computations", got)
 			}
 			for k := 0; k < 8; k++ {
-				v, err := f.getCtx(context.Background(), k, func() (int, error) { return 100 + k, nil })
+				v, err := f.Get(context.Background(), k, func() (int, error) { return 100 + k, nil })
 				if err != nil || v != 100+k {
 					t.Fatalf("key %d: recompute = %d, %v; want %d, nil", k, v, err, 100+k)
 				}
@@ -99,13 +101,13 @@ func TestFlightShardCountInvisible(t *testing.T) {
 		afterReset int
 	}
 	boom := errors.New("boom")
-	drive := func(f *flight[int, int]) observed {
+	drive := func(f *Flight[int, int]) observed {
 		o := observed{vals: map[int]int{}, errs: map[int]string{}}
 		// 32 keys, even ones succeed, odd ones fail; each looked up 3 times
 		// (1 miss + 2 hits per key, cached errors included).
 		for pass := 0; pass < 3; pass++ {
 			for k := 0; k < 32; k++ {
-				v, err := f.get(k, func() (int, error) {
+				v, err := f.Get(context.Background(), k, func() (int, error) {
 					if k%2 == 1 {
 						return 0, fmt.Errorf("key %d: %w", k, boom)
 					}
@@ -127,7 +129,7 @@ func TestFlightShardCountInvisible(t *testing.T) {
 
 	var base observed
 	for i, n := range flightShardCounts {
-		got := drive(newFlight[int, int](n))
+		got := drive(&Flight[int, int]{nshards: n})
 		if i == 0 {
 			base = got
 			// Sanity on the baseline itself before comparing against it.
@@ -155,7 +157,7 @@ func TestFlightShardCountInvisible(t *testing.T) {
 	}
 
 	// The zero value (implicit default shard count) matches too.
-	var zf flight[int, int]
+	var zf Flight[int, int]
 	if got := drive(&zf); got.hits != base.hits || got.misses != base.misses || got.size != base.size {
 		t.Errorf("zero-value flight observables diverge: %+v != %+v", got, base)
 	}
@@ -166,7 +168,7 @@ func TestFlightShardCountInvisible(t *testing.T) {
 func TestFlightShardConcurrentSingleflight(t *testing.T) {
 	for _, n := range flightShardCounts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFlight[int, int](n)
+			f := &Flight[int, int]{nshards: n}
 			var computes atomic.Int64
 			var wg sync.WaitGroup
 			for g := 0; g < 64; g++ {
@@ -175,7 +177,7 @@ func TestFlightShardConcurrentSingleflight(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < 100; i++ {
 						k := (g + i) % 8
-						v, err := f.get(k, func() (int, error) {
+						v, err := f.Get(context.Background(), k, func() (int, error) {
 							computes.Add(1)
 							return k * 10, nil
 						})
@@ -192,6 +194,35 @@ func TestFlightShardConcurrentSingleflight(t *testing.T) {
 			}
 			if got := f.len(); got != 8 {
 				t.Errorf("len = %d, want 8", got)
+			}
+		})
+	}
+}
+
+// TestFlightBound: a bounded flight never holds more than its bound, for
+// bounds below, at and above the default shard count, while every Get
+// still answers with its key's own value; bound 0 keeps every key.
+func TestFlightBound(t *testing.T) {
+	const keys = 300
+	for _, bound := range []int{0, 1, 3, 16, 40, 256} {
+		t.Run(fmt.Sprintf("bound=%d", bound), func(t *testing.T) {
+			f := NewFlight[int, int](obs.ArgNone, bound)
+			limit := bound
+			if bound == 0 {
+				limit = keys
+			}
+			for i := 0; i < 1000; i++ {
+				k := i % keys
+				v, err := f.Get(context.Background(), k, func() (int, error) { return 3 * k, nil })
+				if err != nil || v != 3*k {
+					t.Fatalf("key %d = %d, %v; want %d, nil", k, v, err, 3*k)
+				}
+				if n := f.len(); n > limit {
+					t.Fatalf("after key %d: %d entries, limit %d", k, n, limit)
+				}
+			}
+			if bound == 0 && f.len() != keys {
+				t.Fatalf("unbounded flight holds %d of %d keys", f.len(), keys)
 			}
 		})
 	}

@@ -13,8 +13,8 @@ package eval
 //
 // Sharing discipline (see the concurrency notes on prog.Program, mem.Memory
 // and workload.Benchmark.Build): cached programs and reference results are
-// read-only once constructed; superblock.Form and core.Schedule clone their
-// input internally; every simulation gets its own mem.Memory clone.
+// read-only once constructed; formation gets a clone of the cached build and
+// core.Schedule clones its input internally; every simulation gets its own mem.Memory clone.
 
 import (
 	"context"
@@ -98,10 +98,10 @@ type Runner struct {
 	busy     *obs.Counter   // summed worker busy time, ns
 	span     *obs.Counter   // summed parallelFor wall spans, ns
 
-	builds flight[string, *buildArtifact]
-	forms  flight[formKey, *prog.Program]
-	scheds flight[CellKey, *schedArtifact]
-	cells  flight[CellKey, Cell]
+	builds Flight[string, *buildArtifact]
+	forms  Flight[formKey, *prog.Program]
+	scheds Flight[CellKey, *schedArtifact]
+	cells  Flight[CellKey, Cell]
 
 	// caches is the metrics/Reset view over the four flights above, built
 	// once at construction — CacheStats and the registry gauges iterate it
@@ -177,7 +177,7 @@ type namedCache struct {
 	cacheView
 }
 
-func view[K comparable, V any](f *flight[K, V]) cacheView {
+func view[K comparable, V any](f *Flight[K, V]) cacheView {
 	return cacheView{
 		size:   f.len,
 		hits:   f.hits.Load,
@@ -269,28 +269,25 @@ func (r *Runner) build(b workload.Benchmark) (*buildArtifact, error) {
 }
 
 func (r *Runner) buildCtx(ctx context.Context, b workload.Benchmark) (*buildArtifact, error) {
-	return r.builds.getCtx(ctx, b.Name, func() (*buildArtifact, error) {
+	return r.builds.Get(ctx, b.Name, func() (*buildArtifact, error) {
 		rec := obs.RecordFrom(ctx)
 		rec.Start(obs.StageCompile, obs.ArgBuilds)
 		defer rec.End()
 		p, m := b.Build()
-		p.Layout()
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
+		p, ref, err := Front(p, m, FrontOptions{Reference: true})
 		if err != nil {
-			return nil, fmt.Errorf("%s: reference: %w", b.Name, err)
+			return nil, frontError(b.Name, err)
 		}
 		return &buildArtifact{prog: p, mem: m, ref: ref}, nil
 	})
 }
 
 // formed returns the benchmark's superblock-formed program for the given
-// options, formed once per (benchmark, options) pair.
+// options, formed once per (benchmark, options) pair from the one cached
+// reference run.
 func (r *Runner) formed(ctx context.Context, b workload.Benchmark, sbo superblock.Options) (*prog.Program, error) {
 	sbo = sbo.WithDefaults()
-	return r.forms.getCtx(ctx, formKey{b.Name, sbo}, func() (*prog.Program, error) {
+	return r.forms.Get(ctx, formKey{b.Name, sbo}, func() (*prog.Program, error) {
 		art, err := r.buildCtx(ctx, b)
 		if err != nil {
 			return nil, err
@@ -298,10 +295,9 @@ func (r *Runner) formed(ctx context.Context, b workload.Benchmark, sbo superbloc
 		rec := obs.RecordFrom(ctx)
 		rec.Start(obs.StageCompile, obs.ArgForms)
 		defer rec.End()
-		f := superblock.Form(art.prog, art.ref.Profile, sbo)
-		f.Layout()
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: formation: %w", b.Name, err)
+		f, err := form(art.prog.Clone(), art.ref.Profile, sbo)
+		if err != nil {
+			return nil, frontError(b.Name, err)
 		}
 		return f, nil
 	})
@@ -315,7 +311,7 @@ func (r *Runner) formed(ctx context.Context, b workload.Benchmark, sbo superbloc
 func (r *Runner) scheduled(ctx context.Context, b workload.Benchmark, md machine.Desc, sbo superblock.Options) (*schedArtifact, error) {
 	md = md.CompileView()
 	key := CellKey{b.Name, md, sbo.WithDefaults()}
-	return r.scheds.getCtx(ctx, key, func() (*schedArtifact, error) {
+	return r.scheds.Get(ctx, key, func() (*schedArtifact, error) {
 		f, err := r.formed(ctx, b, sbo)
 		if err != nil {
 			return nil, err
@@ -346,7 +342,7 @@ func (r *Runner) Measure(b workload.Benchmark, md machine.Desc, sbo superblock.O
 // coalesce onto it).
 func (r *Runner) MeasureCtx(ctx context.Context, b workload.Benchmark, md machine.Desc, sbo superblock.Options) (Cell, error) {
 	key := CellKey{b.Name, md, sbo.WithDefaults()}
-	return r.cells.getCtx(ctx, key, func() (Cell, error) {
+	return r.cells.Get(ctx, key, func() (Cell, error) {
 		var t0 time.Time
 		if r.cellTime != nil {
 			t0 = time.Now()

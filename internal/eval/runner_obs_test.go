@@ -85,14 +85,14 @@ func TestMeasureCtxSpans(t *testing.T) {
 // A caller that blocks on another goroutine's in-flight computation gets a
 // wait span labeled with the flight's cache arg.
 func TestFlightWaitSpan(t *testing.T) {
-	f := &flight[int, int]{arg: obs.ArgCells}
+	f := &Flight[int, int]{arg: obs.ArgCells}
 	rec := testRecorder()
 	block := make(chan struct{})
 	started := make(chan struct{})
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		f.getCtx(context.Background(), 1, func() (int, error) {
+		f.Get(context.Background(), 1, func() (int, error) {
 			close(started)
 			<-block
 			return 7, nil
@@ -104,7 +104,7 @@ func TestFlightWaitSpan(t *testing.T) {
 	ctx := obs.ContextWithRecord(context.Background(), rd)
 	waiterDone := make(chan int, 1)
 	go func() {
-		v, err := f.getCtx(ctx, 1, func() (int, error) { return 0, nil })
+		v, err := f.Get(ctx, 1, func() (int, error) { return 0, nil })
 		if err != nil {
 			t.Error(err)
 		}
@@ -134,7 +134,7 @@ func TestFlightWaitSpan(t *testing.T) {
 	// A hit on the now-completed entry must record nothing.
 	rd2 := rec.Begin("/test")
 	ctx2 := obs.ContextWithRecord(context.Background(), rd2)
-	if v, err := f.getCtx(ctx2, 1, func() (int, error) { return 0, nil }); err != nil || v != 7 {
+	if v, err := f.Get(ctx2, 1, func() (int, error) { return 0, nil }); err != nil || v != 7 {
 		t.Fatalf("completed hit = %d, %v", v, err)
 	}
 	rd2.Finish(500)

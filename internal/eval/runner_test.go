@@ -1,12 +1,17 @@
 package eval
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sentinel/internal/machine"
+	"sentinel/internal/mem"
 	"sentinel/internal/obs"
 	"sentinel/internal/prog"
 	"sentinel/internal/sim"
@@ -26,7 +31,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 	var serial []*BenchResult
 	for _, b := range benches {
-		r, err := Run(b, allModels, Widths, superblock.Options{})
+		r, err := serialRun(b, allModels, Widths)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +106,69 @@ func TestConcurrentMeasureSharedCache(t *testing.T) {
 		if cells[i] != cells[0] {
 			t.Errorf("caller %d: cell differs from caller 0", i)
 		}
+	}
+}
+
+// TestRunnerPanicReleasesWaiters: a cell whose compile panics (here the
+// benchmark's Build, once) must not wedge its key. The panic reaches the
+// goroutine that ran it, a concurrent caller of the same cell is released
+// at once with ErrComputePanicked instead of waiting out its deadline, and
+// the next call compiles afresh and measures what Measure does.
+func TestRunnerPanicReleasesWaiters(t *testing.T) {
+	real := bench(t, "wc")
+	var builds atomic.Int64
+	started, unblock := make(chan struct{}), make(chan struct{})
+	b := real
+	b.Build = func() (*prog.Program, *mem.Memory) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-unblock
+			panic("build exploded")
+		}
+		return real.Build()
+	}
+	r := NewRunner(1)
+	md := machine.Base(4, machine.Sentinel)
+
+	ownerPanic := make(chan any, 1)
+	go func() {
+		defer func() { ownerPanic <- recover() }()
+		r.Measure(b, md, superblock.Options{}) //nolint:errcheck
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := r.MeasureCtx(ctx, b, md, superblock.Options{})
+		waiterErr <- err
+	}()
+	for r.cells.hits.Load() == 0 { // the waiter found the owner's entry
+		runtime.Gosched()
+	}
+	close(unblock)
+
+	if got := <-ownerPanic; got != "build exploded" {
+		t.Fatalf("owner recovered %v, want the build's panic", got)
+	}
+	if err := <-waiterErr; !errors.Is(err, ErrComputePanicked) {
+		t.Fatalf("waiter got %v, want %v", err, ErrComputePanicked)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("waiter was released only by its deadline")
+	}
+
+	want, err := Measure(real, md, superblock.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.MeasureCtx(ctx, b, md, superblock.Options{})
+	if err != nil || got != want {
+		t.Fatalf("measure after the panic = %+v, %v; want %+v", got, err, want)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("Build ran %d times, want 2 (the panic, then one recompute)", n)
 	}
 }
 

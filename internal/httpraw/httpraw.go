@@ -194,15 +194,23 @@ func (r *Response) readChunked(br *bufio.Reader) error {
 			return fmt.Errorf("malformed chunk size %q", trimLine(line))
 		}
 		if n == 0 {
-			for { // trailers, up to a blank line that must be a full CRLF
+			// Trailers, up to a blank line. net/http reads a trailer
+			// section only once it sees the CRLF CRLF ending it within one
+			// buffer of br, so every line must end in a full CRLF and the
+			// whole section must fit that buffer.
+			section := 0
+			for {
 				t, err := br.ReadSlice('\n')
+				section += len(t)
 				switch {
 				case err != nil:
 					return err
-				case string(t) == "\r\n":
+				case section > br.Size():
+					return fmt.Errorf("chunked trailer section exceeds %d bytes", br.Size())
+				case len(t) < 2 || t[len(t)-2] != '\r':
+					return fmt.Errorf("chunked trailer line ends in a bare LF")
+				case len(t) == 2:
 					return nil
-				case len(t) == 1:
-					return fmt.Errorf("chunked body ends in a bare LF")
 				}
 				if _, _, ok := splitHeader(trimLine(t)); !ok {
 					return fmt.Errorf("malformed trailer line %q", trimLine(t))

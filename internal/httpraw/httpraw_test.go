@@ -115,6 +115,9 @@ func TestReadRawResponseRejectsAmbiguousFraming(t *testing.T) {
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nokXX0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n;x\r\n",
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nA: b\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n" +
+			strings.Repeat("A: bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\r\n", 128) + "\r\n",
 		"HTTP/1.1x200 OK\r\nContent-Length: 0\r\n\r\n",
 		"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n",
 	} {

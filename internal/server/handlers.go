@@ -8,6 +8,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -129,7 +130,7 @@ func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, fo
 		// view and shares one entry across predictors.
 		cmd := md.CompileView()
 		key := sourceKey{sum: sha256.Sum256([]byte(spec.Source)), md: cmd, form: form}
-		c, err := s.sources.get(ctx, key, func() (*compiled, error) {
+		c, err := s.sources.Get(ctx, key, func() (*compiled, error) {
 			return compileSource(ctx, spec.Source, cmd, form)
 		})
 		if err != nil {
@@ -147,9 +148,11 @@ func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, fo
 }
 
 // compileSource runs the full compile pipeline on inline assembly: parse,
-// lay out, reference-interpret for the profile, optionally form
-// superblocks, schedule for md. The ctx is span plumbing only — the request
-// record, when one is attached, gets compile and schedule stages.
+// then eval.Front (lay out, reference-interpret for the profile, optionally
+// form superblocks) on the program the compile owns, then schedule it for
+// md in place. Each Front stage maps to its 422 envelope. The ctx is span
+// plumbing only — the request record, when one is attached, gets compile
+// and schedule stages.
 func compileSource(ctx context.Context, src string, md machine.Desc, form bool) (*compiled, error) {
 	rd := obs.RecordFrom(ctx)
 	rd.Start(obs.StageCompile, obs.ArgSources)
@@ -158,23 +161,11 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 		rd.End()
 		return nil, apiErrorf(http.StatusUnprocessableEntity, KindAssemblyError, "%v", err)
 	}
-	p.Layout()
-	ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
-	if err != nil {
-		rd.End()
-		return nil, apiErrorf(http.StatusUnprocessableEntity, KindProgramError,
-			"reference interpretation failed: %v", err)
-	}
-	if form {
-		p = superblock.FormOwned(p, ref.Profile, superblock.Options{})
-		p.Layout()
-		if err := p.Validate(); err != nil {
-			rd.End()
-			return nil, apiErrorf(http.StatusUnprocessableEntity, KindProgramError,
-				"superblock formation: %v", err)
-		}
-	}
+	p, ref, err := eval.Front(p, m, eval.FrontOptions{Form: form, Reference: true})
 	rd.End()
+	if err != nil {
+		return nil, frontAPIError(err)
+	}
 	rd.Start(obs.StageSchedule, obs.ArgNone)
 	sched, stats, err := core.ScheduleOwned(p, md)
 	rd.End()
@@ -186,6 +177,23 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 	// not its memory image or profile.
 	return &compiled{prog: sched, stats: stats, mem: m,
 		ref: &prog.Result{Out: ref.Out, MemSum: ref.MemSum, Instrs: ref.Instrs}}, nil
+}
+
+// frontAPIError maps a failed eval.Front stage onto its 422 envelope. A
+// program that fails validation never assembled.
+func frontAPIError(err error) *APIError {
+	var se *eval.StageError
+	if errors.As(err, &se) {
+		switch se.Stage {
+		case eval.StageReference:
+			return apiErrorf(http.StatusUnprocessableEntity, KindProgramError,
+				"reference interpretation failed: %v", err)
+		case eval.StageFormation:
+			return apiErrorf(http.StatusUnprocessableEntity, KindProgramError,
+				"superblock formation: %v", err)
+		}
+	}
+	return apiErrorf(http.StatusUnprocessableEntity, KindAssemblyError, "%v", err)
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {

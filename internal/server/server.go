@@ -47,7 +47,7 @@ type Config struct {
 	// RequestTimeout is the default per-request deadline; a request may
 	// shorten (never extend) it with ?timeout_ms= (default 30s).
 	RequestTimeout time.Duration
-	// MaxSourcePrograms caps the inline-source compile cache (default 256).
+	// MaxSourcePrograms bounds the inline-source compile memo (default 256).
 	MaxSourcePrograms int
 	// RespCacheEntries bounds the response-byte cache — the LRU of fully
 	// serialized success responses that lets a repeat request skip all
@@ -83,7 +83,7 @@ type Server struct {
 	cfg     Config
 	runner  *eval.Runner
 	adm     *admission
-	sources *sourceCache
+	sources *eval.Flight[sourceKey, *compiled]
 	resp    *RespCache
 	mux     *http.ServeMux
 	rec     *obs.Recorder
@@ -116,7 +116,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		runner:  eval.NewRunner(cfg.Workers),
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		sources: newSourceCache(cfg.MaxSourcePrograms),
+		sources: eval.NewFlight[sourceKey, *compiled](obs.ArgSources, max(cfg.MaxSourcePrograms, 1)),
 		resp:    NewRespCache(cfg.RespCacheEntries),
 		rec:     cfg.Recorder,
 	}

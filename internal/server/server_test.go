@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -550,14 +552,17 @@ entry:
 			if resp, body := postJSON(t, ts.URL+"/v1/simulate", req); resp.StatusCode != http.StatusOK {
 				t.Fatalf("untampered run: status %d: %s", resp.StatusCode, body)
 			}
-			s.sources.mu.Lock()
-			for _, e := range s.sources.m {
-				<-e.done
-				ref := *e.val.ref
-				tc.tamper(&ref)
-				e.val.ref = &ref
+			key := sourceKey{sum: sha256.Sum256([]byte(src)),
+				md: mustMachine(t, "sentinel", 4).CompileView(), form: true}
+			c, err := s.sources.Get(context.Background(), key, func() (*compiled, error) {
+				return nil, errors.New("the untampered run left no compile in the memo")
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			s.sources.mu.Unlock()
+			ref := *c.ref
+			tc.tamper(&ref)
+			c.ref = &ref
 			resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
 			if resp.StatusCode != http.StatusInternalServerError {
 				t.Fatalf("diverging run: status %d, want 500: %s", resp.StatusCode, body)

@@ -5,19 +5,21 @@
 //
 // The pipeline is:
 //
-//	program -> Profile -> FormSuperblocks -> Schedule -> Simulate
+//	program -> profile -> form superblocks -> Schedule -> Simulate
 //
 // Build MIR programs with the re-exported instruction constructors (R, F,
-// LOAD, STORE, BR, ...), profile them on a training input, form superblocks
-// from the profile, schedule under one of the five speculation models
-// (Restricted, General, Sentinel, SentinelStores, plus §2.3's Boosting), and
-// run the result on the cycle simulator, which implements the
-// exception-tagged register file (Table 1 of the paper), the probationary
-// store buffer (Table 2), and shadow register files for boosting.
+// LOAD, STORE, BR, ...), profile them on a training input (ProfileRun),
+// compile them — Compile profiles, forms superblocks from the profile and
+// schedules under one of the five speculation models (Restricted, General,
+// Sentinel, SentinelStores, plus §2.3's Boosting) — and run the result on
+// the cycle simulator, which implements the exception-tagged register file
+// (Table 1 of the paper), the probationary store buffer (Table 2), and
+// shadow register files for boosting.
 package sentinel
 
 import (
 	"sentinel/internal/core"
+	"sentinel/internal/eval"
 	"sentinel/internal/ir"
 	"sentinel/internal/machine"
 	"sentinel/internal/mem"
@@ -90,20 +92,12 @@ func NewMemory() *Memory { return mem.New() }
 // store buffer, Table 3 latencies) at the given issue width and model.
 func BaseMachine(width int, model Model) Machine { return machine.Base(width, model) }
 
-// Profile executes p sequentially on (a clone of) the training memory and
-// returns its execution profile together with the reference architectural
-// result.
+// ProfileRun lays p out, validates it, and executes it sequentially on (a
+// clone of) the training memory, returning its execution profile together
+// with the reference architectural result.
 func ProfileRun(p *Program, m *Memory) (*RefResult, error) {
-	p.Layout()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return prog.Run(p, m.Clone(), prog.Options{Collect: true})
-}
-
-// FormSuperblocks merges hot traces of p into superblocks using the profile.
-func FormSuperblocks(p *Program, prof *Profile, opts SuperblockOptions) *Program {
-	return superblock.Form(p, prof, opts)
+	_, ref, err := eval.Front(p, m, eval.FrontOptions{Reference: true})
+	return ref, err
 }
 
 // Schedule list-schedules every block of p for the machine, applying the
@@ -126,16 +120,11 @@ type SimOptions = sim.Options
 
 // Compile is the full pipeline: profile on the training memory, form
 // superblocks, and schedule for md. It returns the scheduled program and
-// scheduling statistics.
+// scheduling statistics; p itself is not modified.
 func Compile(p *Program, train *Memory, md Machine, sbo SuperblockOptions) (*Program, Stats, error) {
-	ref, err := ProfileRun(p, train)
+	f, _, err := eval.Front(p.Clone(), train, eval.FrontOptions{Form: true, SBO: sbo})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	f := FormSuperblocks(p, ref.Profile, sbo)
-	f.Layout()
-	if err := f.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return core.Schedule(f, md)
+	return core.ScheduleOwned(f, md)
 }
