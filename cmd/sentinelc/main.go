@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "sentinel", "speculation model: restricted, general, sentinel, sentinel+stores")
+	model := flag.String("model", "sentinel", "speculation model: restricted, general, sentinel, sentinel+stores, boosting")
 	width := flag.Int("width", 8, "issue width")
 	form := flag.Bool("superblock", true, "profile and form superblocks before scheduling")
 	unroll := flag.Int("unroll", 0, "unroll factor (0 = default)")
@@ -82,20 +82,9 @@ func main() {
 }
 
 func parseMachine(model string, width int, recovery bool) (machine.Desc, error) {
-	var m machine.Model
-	switch model {
-	case "restricted":
-		m = machine.Restricted
-	case "general":
-		m = machine.General
-	case "sentinel":
-		m = machine.Sentinel
-	case "sentinel+stores", "stores":
-		m = machine.SentinelStores
-	case "boosting":
-		m = machine.Boosting
-	default:
-		return machine.Desc{}, fmt.Errorf("unknown model %q", model)
+	m, err := machine.ParseModel(model)
+	if err != nil {
+		return machine.Desc{}, err
 	}
 	md := machine.Base(width, m)
 	if recovery {

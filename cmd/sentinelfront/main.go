@@ -45,7 +45,7 @@ func main() {
 	hotWindow := flag.Int("hot-window", 0, "sketch touches between counter halvings (0 = default 4096)")
 	probeInterval := flag.Duration("probe-interval", 0, "backend /readyz polling period (0 = default 500ms)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe deadline (0 = default 2s)")
-	timeout := flag.Duration("timeout", 0, "per-exchange ceiling on the wire and raw proxied hops (0 = default 30s)")
+	timeout := flag.Duration("timeout", 0, "ceiling on every proxied hop: one HTTP exchange, a streamed /v1/batch included, or one wire exchange (0 = default 30s)")
 	respcacheEntries := flag.Int("respcache-entries", 0, "front response-cache entries (0 = default 4096, negative disables caching)")
 	drain := flag.Duration("drain", 30*time.Second, "maximum time to wait for in-flight requests on shutdown")
 	recEntries := flag.Int("recorder-entries", 256, "flight-recorder retained request records (0 disables the recorder)")

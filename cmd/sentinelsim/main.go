@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "sentinel", "speculation model: restricted, general, sentinel, sentinel+stores")
+	model := flag.String("model", "sentinel", "speculation model: restricted, general, sentinel, sentinel+stores, boosting")
 	width := flag.Int("width", 8, "issue width")
 	predictor := flag.String("predictor", "perfect", "branch-prediction frontend: perfect, static, tage")
 	mispredict := flag.Int("mispredict", 0, "mispredict redirect penalty in cycles (0 = default for the predictor)")
@@ -229,20 +229,9 @@ func runSweep(b workload.Benchmark, jobs int, stats bool) error {
 }
 
 func parseMachine(model string, width int, predictor string, mispredict int) (machine.Desc, error) {
-	var m machine.Model
-	switch model {
-	case "restricted":
-		m = machine.Restricted
-	case "general":
-		m = machine.General
-	case "sentinel":
-		m = machine.Sentinel
-	case "sentinel+stores", "stores":
-		m = machine.SentinelStores
-	case "boosting":
-		m = machine.Boosting
-	default:
-		return machine.Desc{}, fmt.Errorf("unknown model %q", model)
+	m, err := machine.ParseModel(model)
+	if err != nil {
+		return machine.Desc{}, err
 	}
 	p, err := machine.ParsePredictor(predictor)
 	if err != nil {

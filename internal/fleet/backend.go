@@ -1,8 +1,9 @@
 package fleet
 
-// Per-backend state: the pooled HTTP client for the proxied hop, the pooled
-// wire-protocol connections, and the health view the eligibility predicate
-// reads on every routing decision.
+// Per-backend state: the two connection pools — raw HTTP/1.1 for every HTTP
+// exchange (proxied requests and /readyz probes alike), the wire protocol
+// for wire frames — and the health view the eligibility predicate reads on
+// every routing decision.
 //
 // Health is two signals, updated two ways. The prober polls /readyz: 200
 // means ready, a 503 "draining" body means the backend is shutting down
@@ -18,24 +19,27 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"sentinel/internal/obs"
-	"sentinel/internal/wire"
+)
+
+// Connection sizing, one setting for every backend.
+const (
+	dialTimeout  = 2 * time.Second // bounds connection establishment
+	wirePoolSize = 4               // idle wire connections kept per backend
+	httpPoolSize = 64              // idle raw HTTP/1.1 connections kept per backend
 )
 
 // backend is one sentineld process behind the router.
 type backend struct {
 	addr string // host:port, as configured (ring placement hashes this)
-	base string // "http://" + addr
 
-	client   *http.Client   // probe + streaming-hop client (net/http)
 	wirePool chan *wireConn // idle wire-protocol connections
-	httpPool chan *wireConn // idle raw HTTP/1.1 connections (cache-miss hop)
+	httpPool chan *wireConn // idle raw HTTP/1.1 connections
 
 	ready    atomic.Bool  // last probe (or reactive edge) verdict
 	draining atomic.Bool  // /readyz said "draining"
@@ -50,23 +54,13 @@ type backend struct {
 }
 
 // newBackend builds the backend handle and its connection pools.
-func newBackend(addr string, dialTimeout time.Duration, wirePoolSize, httpPoolSize int) *backend {
+func newBackend(addr string) *backend {
 	b := &backend{
 		addr:     addr,
-		base:     "http://" + addr,
 		wirePool: make(chan *wireConn, wirePoolSize),
 		httpPool: make(chan *wireConn, httpPoolSize),
 		hashed:   new(obs.Counter),
 		spilled:  new(obs.Counter),
-	}
-	dialer := &net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}
-	b.client = &http.Client{
-		Transport: &http.Transport{
-			DialContext:         dialer.DialContext,
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		},
 	}
 	b.ready.Store(true)
 	return b
@@ -75,9 +69,8 @@ func newBackend(addr string, dialTimeout time.Duration, wirePoolSize, httpPoolSi
 // eligible reports whether new keys may route here.
 func (b *backend) eligible() bool { return b.ready.Load() && !b.draining.Load() }
 
-// close tears down all three pools.
+// close tears down both pools.
 func (b *backend) close() {
-	b.client.CloseIdleConnections()
 	for _, pool := range []chan *wireConn{b.wirePool, b.httpPool} {
 	drain:
 		for {
@@ -91,64 +84,41 @@ func (b *backend) close() {
 	}
 }
 
-// wireConn is one pooled wire-protocol connection to a backend. An exchange
-// owns the connection exclusively (the protocol is sequential per
-// connection); a connection that sees any transport or framing error is
-// closed instead of returned.
+// wireConn is one pooled connection to a backend, wire-protocol or raw
+// HTTP/1.1. An exchange owns the connection exclusively (both protocols
+// are sequential per connection); a connection that sees any transport or
+// framing error is closed instead of returned.
 type wireConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 }
 
-// getWire returns an idle pooled connection or dials a fresh one. pooled
-// tells the caller whether a failure might just be a stale keep-alive (the
-// backend closed it under the pool's feet) rather than a dead backend.
-func (b *backend) getWire(dialTimeout time.Duration) (wc *wireConn, pooled bool, err error) {
+// get returns an idle connection from pool or dials a fresh one, by the
+// exchange's deadline, with a read buffer of size bytes; a nil pool always
+// dials. pooled tells the caller whether a failure might just be a stale
+// keep-alive (the backend closed it under the pool's feet) rather than a
+// dead backend.
+func (b *backend) get(pool chan *wireConn, size int, deadline time.Time) (wc *wireConn, pooled bool, err error) {
 	select {
-	case wc := <-b.wirePool:
+	case wc := <-pool:
 		return wc, true, nil
 	default:
 	}
-	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
+	d := net.Dialer{Timeout: dialTimeout, Deadline: deadline}
+	conn, err := d.Dial("tcp", b.addr)
 	if err != nil {
 		return nil, false, err
 	}
-	return &wireConn{conn: conn, br: bufio.NewReaderSize(conn, wire.SniffBufSize)}, false, nil
+	return &wireConn{conn: conn, br: bufio.NewReaderSize(conn, size)}, false, nil
 }
 
-// putWire returns a healthy connection to the pool (closing it when full).
-func (b *backend) putWire(wc *wireConn) {
+// put returns a healthy connection to pool (closing it when full).
+func put(pool chan *wireConn, wc *wireConn) {
 	wc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 	select {
-	case b.wirePool <- wc:
+	case pool <- wc:
 	default:
 		wc.conn.Close()
-	}
-}
-
-// getHTTP returns an idle raw HTTP/1.1 connection or dials a fresh one —
-// the cache-miss hop's analogue of getWire, with the same pooled-vs-fresh
-// distinction driving stale-keep-alive retries.
-func (b *backend) getHTTP(dialTimeout time.Duration) (hc *wireConn, pooled bool, err error) {
-	select {
-	case hc := <-b.httpPool:
-		return hc, true, nil
-	default:
-	}
-	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
-	if err != nil {
-		return nil, false, err
-	}
-	return &wireConn{conn: conn, br: bufio.NewReaderSize(conn, 8<<10)}, false, nil
-}
-
-// putHTTP returns a healthy raw connection to the pool (closing when full).
-func (b *backend) putHTTP(hc *wireConn) {
-	hc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	select {
-	case b.httpPool <- hc:
-	default:
-		hc.conn.Close()
 	}
 }
 
@@ -175,16 +145,15 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// probe polls one backend's /readyz and folds the verdict into its health
-// state, logging transitions.
+// probe polls one backend's /readyz over the raw pool, under a
+// ProbeTimeout deadline, and folds the verdict into its health state,
+// logging transitions.
 func (rt *Router) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := b.client.Do(req)
+	ps := getRawScratch()
+	defer putRawScratch(ps)
+	ps.req = append(append(append(ps.req[:0], "GET /readyz HTTP/1.1\r\nHost: "...), b.addr...), "\r\n\r\n"...)
+	ps.head = false
+	_, err := b.exchange(context.Background(), nil, ps, time.Now().Add(rt.cfg.ProbeTimeout), nil)
 	if err != nil {
 		if int(b.failures.Add(1)) >= rt.cfg.FailureThreshold && b.ready.Swap(false) {
 			rt.logf("fleet: backend %s unhealthy (%d consecutive probe failures): %v",
@@ -192,37 +161,27 @@ func (rt *Router) probe(b *backend) {
 		}
 		return
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, drainSniffBytes))
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		b.failures.Store(0)
+	b.failures.Store(0)
+	switch res := &ps.resp; {
+	case res.Status == http.StatusOK:
 		wasDraining := b.draining.Swap(false)
 		if !b.ready.Swap(true) || wasDraining {
 			rt.logf("fleet: backend %s ready", b.addr)
 		}
-	case isDrainingBody(body):
+	case isDrainingBody(res.Body):
 		// Alive but going away: stop sending new keys, let it finish.
-		b.failures.Store(0)
 		if !b.draining.Swap(true) {
 			rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
 		}
 	default:
 		// Warming or otherwise not ready: ineligible immediately (no
 		// failure threshold — the backend itself said not-ready).
-		b.failures.Store(0)
 		if b.ready.Swap(false) {
-			rt.logf("fleet: backend %s not ready (%d %s)", b.addr, resp.StatusCode,
-				bytes.TrimSpace(body))
+			rt.logf("fleet: backend %s not ready (%d %s)", b.addr, res.Status,
+				bytes.TrimSpace(res.Body))
 		}
 	}
 }
-
-// drainSniffBytes bounds how much of a refusal body the draining sniff
-// reads — comfortably past any envelope the backends synthesize, so the
-// marker cannot be truncated away (the old 64-byte limit could miss it in
-// a padded envelope).
-const drainSniffBytes = 4096
 
 // isDrainingBody reports whether a /readyz or refusal body marks a
 // draining backend: the plain-text "draining" readiness body, or the

@@ -25,7 +25,7 @@ func TestBuildRawRequestStripsExpect(t *testing.T) {
 	r.Header.Set("X-Request-Id", "rid-1")
 
 	ps := new(rawScratch)
-	buildRawRequest(ps, r, "backend:9", body)
+	buildRawRequest(ps, r, "backend:9", body, false)
 	frame := string(ps.req)
 	if strings.Contains(strings.ToLower(frame), "expect") {
 		t.Fatalf("Expect crossed the hop:\n%s", frame)

@@ -73,20 +73,26 @@ func (rt *Router) serveCached(w http.ResponseWriter, k fingerprint.Key, clientID
 	return true
 }
 
-// cacheProbeable reports whether a request may ever consult or fill the
-// front cache: the three deterministic API endpoints, minus the sniffed
-// bypass ops. Everything else — /v1/batch (streamed), unknown paths,
-// fault/full simulates — always crosses the hop.
-func cacheProbeable(method, path string, body []byte) bool {
+// deterministicEndpoint reports whether a request names one of the three
+// deterministic API endpoints. Their answers are bounded, so the hop always
+// buffers them whole and can reroute after a failure mid-body; /v1/batch
+// and unknown paths may stream instead.
+func deterministicEndpoint(method, path string) bool {
 	switch path {
-	case "/v1/simulate":
-		return method == http.MethodPost && !server.CacheOptOut(body)
-	case "/v1/schedule":
+	case "/v1/simulate", "/v1/schedule":
 		return method == http.MethodPost
 	case "/v1/figures":
 		return method == http.MethodGet
 	}
 	return false
+}
+
+// cacheProbeable reports whether a request may ever consult or fill the
+// front cache: the deterministic endpoints, minus the sniffed bypass ops.
+// Everything else — /v1/batch (streamed), unknown paths, fault/full
+// simulates — always crosses the hop.
+func cacheProbeable(method, path string, body []byte) bool {
+	return deterministicEndpoint(method, path) && !(path == "/v1/simulate" && server.CacheOptOut(body))
 }
 
 // canonCacheKey returns the canonical cache key for a request whose

@@ -16,9 +16,10 @@ package fleet
 // failed after the one permitted retry. Synthesized envelopes use the
 // backends' own JSON shape with status 503, so a load client's retry logic
 // treats a router-local refusal exactly like a backend's draining refusal.
+// A request whose own context ends first gets the backends' 504 timeout
+// envelope instead, and counts against no backend.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"sentinel/internal/fingerprint"
-	"sentinel/internal/httpraw"
 	"sentinel/internal/obs"
 	"sentinel/internal/server"
 	"sentinel/internal/wire"
@@ -62,21 +62,10 @@ type Config struct {
 	// backend unhealthy (default 2; connect failures on the proxy path
 	// mark it immediately).
 	FailureThreshold int
-	// DialTimeout bounds connection establishment to a backend (default 2s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds one proxied wire exchange and one raw
-	// cache-miss hop (default 30s; the streaming net/http hop inherits the
-	// client's context instead).
+	// RequestTimeout bounds every proxied hop — one wire exchange, or one
+	// HTTP exchange including a streamed /v1/batch response — and the
+	// inbound request's own deadline bounds it when earlier (default 30s).
 	RequestTimeout time.Duration
-	// WirePoolSize is the idle wire-connection pool per backend (default 4).
-	WirePoolSize int
-	// HTTPPoolSize is the idle raw HTTP/1.1 connection pool per backend for
-	// the cache-miss proxied hop (default 64, matching the old net/http
-	// transport's per-host cap).
-	HTTPPoolSize int
-	// MaxBodyBytes bounds a proxied request body (default 4 MiB, matching
-	// the backends' own limit).
-	MaxBodyBytes int
 	// RespCacheEntries bounds the router's front response cache (0 selects
 	// the default 4096, matching the backends; negative disables caching so
 	// every request crosses the proxied hop).
@@ -108,20 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.FailureThreshold == 0 {
 		c.FailureThreshold = 2
 	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.WirePoolSize == 0 {
-		c.WirePoolSize = 4
-	}
-	if c.HTTPPoolSize == 0 {
-		c.HTTPPoolSize = 64
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	return c
 }
@@ -153,7 +130,7 @@ type Router struct {
 	reqTime    *obs.Histogram // wall time per proxied HTTP request, ns
 	reqs       *obs.Counter   // proxied HTTP requests
 	retries    *obs.Counter   // reroutes after a failed first hop
-	proxyErrs  *obs.Counter   // synthesized envelopes (no backend answered)
+	proxyErrs  *obs.Counter   // failed hops: synthesized envelopes, cut streams
 	hashes     *obs.Counter   // routing decisions that used the ring owner
 	spills     *obs.Counter   // routing decisions that spilled a hot key
 	wireFrames *obs.Counter   // wire frames terminated
@@ -182,7 +159,7 @@ func New(cfg Config) (*Router, error) {
 		rt.flight = newFillGroup()
 	}
 	for _, addr := range cfg.Backends {
-		rt.backends = append(rt.backends, newBackend(addr, cfg.DialTimeout, cfg.WirePoolSize, cfg.HTTPPoolSize))
+		rt.backends = append(rt.backends, newBackend(addr))
 	}
 	rt.eligible = func(i int) bool { return rt.backends[i].eligible() }
 
@@ -442,21 +419,6 @@ func envelopeBody(kind, msg string) []byte {
 	return []byte(fmt.Sprintf("{\"error\":{\"kind\":%q,\"message\":%q}}\n", kind, msg))
 }
 
-// rawProxyable reports whether the cache-miss hop may use the raw pooled
-// HTTP/1.1 client: the three deterministic API endpoints, whose responses
-// are bounded and replayable. /v1/batch must stream element by element —
-// exactly what response buffering forbids — and unknown paths are rare
-// enough not to matter; both keep the net/http hop.
-func rawProxyable(method, path string) bool {
-	switch path {
-	case "/v1/simulate", "/v1/schedule":
-		return method == http.MethodPost
-	case "/v1/figures":
-		return method == http.MethodGet
-	}
-	return false
-}
-
 // proxy is the catch-all handler: front-cache probe, fingerprint, route,
 // proxied hop with one bounded retry, byte-faithful relay of whatever the
 // backend answered. Warm repeats never reach a backend; cacheable misses
@@ -477,21 +439,21 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	clientID := r.Header.Get(requestIDHeader)
 
 	// Slurp the body into pooled scratch: the fingerprint needs its bytes,
-	// and the retry needs to replay them. A body over the limit is forwarded
-	// as a spliced stream — the backend's own MaxBytesReader produces the
-	// canonical refusal — but cannot be retried or cached.
+	// and the retry needs to replay them. A body over the backends' limit is
+	// forwarded as a chunked stream — the backend's own MaxBytesReader
+	// produces the canonical refusal — but cannot be retried or cached.
 	var body []byte
 	var overflow io.Reader
 	if r.Body != nil && r.Body != http.NoBody {
 		bb := getBodyBuf()
 		defer putBodyBuf(bb)
-		bb.lim = io.LimitedReader{R: r.Body, N: int64(rt.cfg.MaxBodyBytes) + 1}
+		bb.lim = io.LimitedReader{R: r.Body, N: server.MaxBodyBytes + 1}
 		if _, err := bb.buf.ReadFrom(&bb.lim); err != nil {
 			writeEnvelope(w, http.StatusBadRequest, "bad_request", "fleet: reading request body: "+err.Error())
 			return
 		}
 		body = bb.buf.Bytes()
-		if len(body) > rt.cfg.MaxBodyBytes {
+		if len(body) > server.MaxBodyBytes {
 			overflow = r.Body
 		}
 	}
@@ -617,66 +579,97 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	if spilled {
 		arg = obs.ArgSpilled
 	}
-	if overflow == nil && rawProxyable(r.Method, r.URL.Path) {
-		status = rt.proxyRaw(w, r, rd, arg, key, rawK, canonK, canonOK, fill, body, idx, spilled)
-	} else {
-		// The net/http transport's write loop may still be draining the
-		// request reader after Do returns; hand it a private copy so the
-		// pooled slurp can be recycled safely.
-		status = rt.proxyStream(w, r, rd, arg, key, append([]byte(nil), body...), overflow, idx, spilled)
-	}
+	status = rt.forward(w, r, rd, arg, key, rawK, canonK, canonOK, fill, body, overflow, idx, spilled)
 	if rt.reqTime != nil {
 		rt.reqTime.Observe(time.Since(t0).Nanoseconds())
 	}
 }
 
-// proxyRaw is the cache-miss hop for the deterministic API endpoints: one
-// raw HTTP/1.1 exchange over the per-backend keep-alive pool, the whole
-// response buffered before relay so the bounded retry stays simple (nothing
-// reaches the client until a hop has fully succeeded). A 200 under a trusted
-// canonical key fills the front cache and resolves the singleflight.
-func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Record, arg obs.Arg,
-	key, rawK, canonK fingerprint.Key, canonOK bool, fill *fillCall, body []byte, idx int, spilled bool) int {
+// forward is the proxied hop with its one bounded retry: one raw HTTP/1.1
+// exchange with the routed backend (see rawhttp.go), rerouted once when it
+// fails or meets a draining refusal. A chunked 200 from /v1/batch or an
+// unknown path streams to the client; every other answer is buffered, so
+// nothing reaches the client until the hop has fully succeeded. A 200
+// under a trusted canonical key fills the front cache and resolves the
+// singleflight.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rd *obs.Record, arg obs.Arg,
+	key, rawK, canonK fingerprint.Key, canonOK bool, fill *fillCall, body []byte, overflow io.Reader,
+	idx int, spilled bool) int {
 	ps := getRawScratch()
 	defer putRawScratch(ps)
-	const maxAttempts = 2 // first hop + one reroute
+	ctx := r.Context()
+	stream := w
+	if deterministicEndpoint(r.Method, r.URL.Path) {
+		stream = nil
+	}
+	if overflow != nil {
+		// A writer still reading the client's body when the exchange ends
+		// must not wait on a client that has stalled.
+		ps.stopBody = func() { http.NewResponseController(w).SetReadDeadline(time.Now()) } //nolint:errcheck
+	}
 	for attempt := 0; ; attempt++ {
 		b := rt.backends[idx]
 		b.inflight.Add(1)
 		rd.Start(obs.StageProxy, arg)
-		buildRawRequest(ps, r, b.addr, body)
-		err := rt.rawSend(b, r, ps)
+		deadline := time.Now().Add(rt.cfg.RequestTimeout)
+		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+			deadline = d
+		}
+		buildRawRequest(ps, r, b.addr, body, overflow != nil)
+		streamed, err := b.exchange(ctx, stream, ps, deadline, overflow)
 		rd.End()
 		b.inflight.Add(-1)
-		if err != nil {
-			// Only a fresh dial failure marks the backend down (a stale pooled
-			// connection already redialed inside rawSend); any hop failure may
-			// reroute once — nothing has been written to the client.
+		res := &ps.resp
+		switch {
+		case streamed && err != nil:
+			// The client has the head and part of the body: no reroute, and
+			// the response is aborted so the client sees the cut rather than
+			// a clean end.
+			if !errors.Is(err, errClientWrite) && ctx.Err() == nil {
+				rt.proxyErrs.Inc()
+				rt.logf("fleet: backend %s failed mid-stream: %v", b.addr, err)
+			}
+			panic(http.ErrAbortHandler)
+		case streamed:
+			return http.StatusOK
+		case err != nil && ctx.Err() != nil:
+			// The client left, or its deadline passed: no evidence against
+			// the backend, and no one to retry for.
+			writeEnvelope(w, http.StatusGatewayTimeout, "timeout",
+				"fleet: request ended before the backend answered")
+			return http.StatusGatewayTimeout
+		case err != nil:
+			// Only a fresh dial failure marks the backend down (a stale
+			// pooled connection already redialed inside the exchange).
 			var dial *rawDialError
 			if errors.As(err, &dial) {
 				rt.noteDialFailure(b)
 			}
-			if attempt+1 < maxAttempts {
-				if next := rt.reroute(key, spilled, idx); next >= 0 {
-					rt.retries.Inc()
-					rt.countRoute(next, spilled)
-					idx = next
-					continue
-				}
-			}
-			rt.proxyErrs.Inc()
-			writeEnvelope(w, http.StatusServiceUnavailable, "unavailable",
-				fmt.Sprintf("fleet: backend %s unreachable: %v", b.addr, err))
-			return http.StatusServiceUnavailable
-		}
-		// A draining backend refused after the probe window: treat its 503
-		// envelope like a connect failure and reroute, once. Not draining (or
-		// nowhere to go): the refusal relays verbatim below.
-		res := &ps.resp
-		if res.Status == http.StatusServiceUnavailable && attempt+1 < maxAttempts && isDrainingBody(res.Body) {
+		case res.Status == http.StatusServiceUnavailable && isDrainingBody(res.Body):
+			// A draining backend refused after the probe window: reroute
+			// like a connect failure, or relay the refusal verbatim.
 			if !b.draining.Swap(true) {
 				rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
 			}
+		default:
+			if canonOK && res.Status == http.StatusOK {
+				// Fill both lanes with one immutable copy (the scratch bytes
+				// are recycled); the singleflight hands waiters the same
+				// copy. Only 200 envelopes are stored — a refusal is never
+				// memoized.
+				cbody := append([]byte(nil), res.Body...)
+				ctype := string(res.Header("content-type"))
+				rt.resp.Put(canonK, cbody, ctype)
+				rt.resp.Put(rawK, cbody, ctype)
+				rt.flight.resolve(canonK, fill, cbody, ctype, true)
+			}
+			relayRaw(w, ps, b.addr)
+			return res.Status
+		}
+		// One reroute — safe because every proxied op is idempotent and
+		// replayable from the slurped body; an over-limit body already fed
+		// its stream to this hop, so it cannot be replayed.
+		if attempt == 0 && overflow == nil {
 			if next := rt.reroute(key, spilled, idx); next >= 0 {
 				rt.retries.Inc()
 				rt.countRoute(next, spilled)
@@ -684,81 +677,14 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 				continue
 			}
 		}
-		if canonOK && res.Status == http.StatusOK {
-			// Fill both lanes with one immutable copy (the scratch bytes are
-			// recycled); the singleflight hands waiters the same copy. Only
-			// 200 envelopes are stored — a refusal is never memoized.
-			cbody := append([]byte(nil), res.Body...)
-			ctype := string(res.Header("content-type"))
-			rt.resp.Put(canonK, cbody, ctype)
-			rt.resp.Put(rawK, cbody, ctype)
-			rt.flight.resolve(canonK, fill, cbody, ctype, true)
+		if err == nil {
+			relayRaw(w, ps, b.addr)
+			return res.Status
 		}
-		relayRaw(w, res, b.addr)
-		return res.Status
-	}
-}
-
-// proxyStream is the net/http hop for everything the raw path cannot carry:
-// /v1/batch (flushed element by element), over-limit spliced bodies, and
-// unknown paths. Semantics are unchanged from before the raw hop existed.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, rd *obs.Record, arg obs.Arg,
-	key fingerprint.Key, body []byte, overflow io.Reader, idx int, spilled bool) int {
-	const maxAttempts = 2 // first hop + one reroute
-	for attempt := 0; ; attempt++ {
-		b := rt.backends[idx]
-		b.inflight.Add(1)
-		rd.Start(obs.StageProxy, arg)
-		resp, err := rt.send(b, r, body, overflow)
-		if err != nil {
-			rd.End()
-			b.inflight.Add(-1)
-			rt.noteDialFailure(b)
-			// Reroute once: safe because every proxied op is idempotent and
-			// replayable from the slurped body (an overflowing body already
-			// fed its stream to the dead hop, so it cannot be replayed).
-			if attempt+1 < maxAttempts && overflow == nil {
-				if next := rt.reroute(key, spilled, idx); next >= 0 {
-					rt.retries.Inc()
-					rt.countRoute(next, spilled)
-					idx = next
-					continue
-				}
-			}
-			rt.proxyErrs.Inc()
-			writeEnvelope(w, http.StatusServiceUnavailable, "unavailable",
-				fmt.Sprintf("fleet: backend %s unreachable: %v", b.addr, err))
-			return http.StatusServiceUnavailable
-		}
-		// A draining backend refused after the probe window: treat its 503
-		// envelope like a connect failure and reroute, once.
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt+1 < maxAttempts && overflow == nil {
-			refusal, _ := io.ReadAll(io.LimitReader(resp.Body, drainSniffBytes))
-			resp.Body.Close()
-			rd.End()
-			b.inflight.Add(-1)
-			if isDrainingBody(refusal) {
-				if !b.draining.Swap(true) {
-					rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
-				}
-				if next := rt.reroute(key, spilled, idx); next >= 0 {
-					rt.retries.Inc()
-					rt.countRoute(next, spilled)
-					idx = next
-					continue
-				}
-			}
-			// Not draining (or nowhere to go): relay the refusal verbatim.
-			relayHead(w, resp, b.addr, int64(len(refusal)))
-			w.Write(refusal) //nolint:errcheck
-			return resp.StatusCode
-		}
-		relayHead(w, resp, b.addr, resp.ContentLength)
-		flushCopy(w, resp.Body)
-		resp.Body.Close()
-		rd.End()
-		b.inflight.Add(-1)
-		return resp.StatusCode
+		rt.proxyErrs.Inc()
+		writeEnvelope(w, http.StatusServiceUnavailable, "unavailable",
+			fmt.Sprintf("fleet: backend %s unreachable: %v", b.addr, err))
+		return http.StatusServiceUnavailable
 	}
 }
 
@@ -785,77 +711,6 @@ func (rt *Router) countRoute(idx int, spilled bool) {
 	} else {
 		rt.hashes.Inc()
 		rt.backends[idx].hashed.Inc()
-	}
-}
-
-// send performs one proxied hop. The body is replayed from the slurped
-// bytes; an overflowing body splices the unread remainder onto the stream.
-func (rt *Router) send(b *backend, r *http.Request, body []byte, overflow io.Reader) (*http.Response, error) {
-	var rdr io.Reader = bytes.NewReader(body)
-	if overflow != nil {
-		rdr = io.MultiReader(bytes.NewReader(body), overflow)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.base+r.URL.RequestURI(), rdr)
-	if err != nil {
-		return nil, err
-	}
-	if overflow == nil {
-		req.ContentLength = int64(len(body))
-	} else {
-		req.ContentLength = -1
-	}
-	for name, vals := range r.Header {
-		if isHopHeader(name) {
-			continue
-		}
-		req.Header[name] = vals
-	}
-	return b.client.Do(req)
-}
-
-func isHopHeader(name string) bool {
-	for _, h := range httpraw.HopHeaders {
-		if strings.EqualFold(name, h) {
-			return true
-		}
-	}
-	return false
-}
-
-// relayHead copies the backend response's headers and status to the client,
-// tagging the answering backend. An explicit Content-Length (when known)
-// keeps the relayed framing identical to the direct one.
-func relayHead(w http.ResponseWriter, resp *http.Response, addr string, clen int64) {
-	h := w.Header()
-	for name, vals := range resp.Header {
-		if isHopHeader(name) || name == "Content-Length" {
-			continue
-		}
-		h[name] = vals
-	}
-	h.Set(fleetBackendHeader, addr)
-	if clen >= 0 {
-		h.Set("Content-Length", fmt.Sprintf("%d", clen))
-	}
-	w.WriteHeader(resp.StatusCode)
-}
-
-// flushCopy streams src to w, flushing after every read so streamed batch
-// responses keep their element-by-element progress through the router.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	rc := http.NewResponseController(w)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			rc.Flush() //nolint:errcheck // best-effort streaming
-		}
-		if err != nil {
-			return
-		}
 	}
 }
 

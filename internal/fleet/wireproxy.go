@@ -198,12 +198,13 @@ func (rt *Router) exchangeTimeout(timeoutMS uint32) time.Duration {
 // streamed yet.
 func (rt *Router) wireAttempt(mu *sync.Mutex, bw *bufio.Writer, b *backend, timeoutMS uint32, elems []wire.ReqElem) (pending []wire.ReqElem, retriable bool, err error) {
 	for {
-		wc, pooled, err := b.getWire(rt.cfg.DialTimeout)
+		deadline := time.Now().Add(rt.exchangeTimeout(timeoutMS))
+		wc, pooled, err := b.get(b.wirePool, wire.SniffBufSize, deadline)
 		if err != nil {
 			rt.noteDialFailure(b)
 			return elems, true, err
 		}
-		wc.conn.SetDeadline(time.Now().Add(rt.exchangeTimeout(timeoutMS))) //nolint:errcheck
+		wc.conn.SetDeadline(deadline) //nolint:errcheck
 		frame := wire.AppendRequest(nil, &wire.ReqFrame{TimeoutMS: timeoutMS, Elems: elems})
 		if _, werr := wc.conn.Write(frame); werr != nil {
 			wc.conn.Close()
@@ -297,7 +298,7 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 		}
 		return pending, true, err
 	}
-	b.putWire(wc)
+	put(b.wirePool, wc)
 	return nil, false, nil
 }
 

@@ -1,7 +1,9 @@
 // Package httpraw reads HTTP/1.1 responses off a buffered connection
 // without net/http. A Response keeps its buffers across reads, so a
 // steady stream of responses on a keep-alive connection allocates nothing.
-// The fleet router's raw proxied hop and sentinelload's closed-loop client
+// Read takes a response whole; ReadHead and then NextChunk take a chunked
+// body one chunk at a time, as it arrives, through the same chunk parser.
+// The fleet router's backend hop and sentinelload's closed-loop client
 // both read their responses with it.
 //
 // Framing follows net/http, which FuzzReadRawResponse uses as the oracle:
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 )
 
@@ -33,9 +36,9 @@ const maxBody = 64 << 20
 // sends at most one or two; more means a broken peer.
 const maxInterim = 8
 
-// HopHeaders are the HTTP/1.1 connection-scoped headers that must not cross
+// hopHeaders are the HTTP/1.1 connection-scoped headers that must not cross
 // a proxy hop. Read leaves them out of a Response's header set.
-var HopHeaders = [...]string{
+var hopHeaders = [...]string{
 	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
@@ -45,22 +48,47 @@ var HopHeaders = [...]string{
 // reallocations that slices would not.
 type hdrPair struct{ n0, n1, v0, v1 int }
 
-// Response is one parsed final response. Read reuses its buffers: Body and
-// the header bytes are valid until the next Read.
+// framing is how a response body is delimited on its connection.
+type framing uint8
+
+const (
+	frameNone    framing = iota // no body (1xx, 204, 304)
+	frameLength                 // Content-Length bytes
+	frameChunked                // Transfer-Encoding: chunked
+	frameEOF                    // runs to connection close
+)
+
+// Response is one parsed final response. Reads reuse its buffers: Body and
+// the header bytes are valid until the next read.
 type Response struct {
 	Status int
 	// Close reports that the connection cannot carry another exchange.
 	Close bool
 	Body  []byte
 
+	frame framing
+	clen  int
 	hdr   []byte
 	pairs []hdrPair
 }
 
-// Read consumes one final response from br into r. began reports whether
-// any response byte arrived before a failure: false means a pooled
-// connection that failed was stale and the request may be retried.
+// Read consumes one final response from br into r: ReadHead, then
+// ReadBody. began reports whether any response byte arrived before a
+// failure: false means a pooled connection that failed was stale and the
+// request may be retried.
 func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
+	if began, err = r.ReadHead(br); err != nil {
+		return began, err
+	}
+	return true, r.ReadBody(br)
+}
+
+// ReadHead consumes the status line and header block of one final response
+// from br, leaving its body on br: ReadBody reads it whole, NextChunk one
+// chunk at a time when Chunked. A response to a HEAD request has no body,
+// whatever its framing says; its reader skips ReadBody. began is as for Read.
+func (r *Response) ReadHead(br *bufio.Reader) (began bool, err error) {
+	r.Body = r.Body[:0]
 	for interim := 0; ; interim++ {
 		line, err := br.ReadSlice('\n')
 		if !began {
@@ -118,7 +146,7 @@ func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
 			case asciiFold(name, "connection"):
 				closeTok = closeTok || hasToken(val, "close")
 				keepTok = keepTok || hasToken(val, "keep-alive")
-			case isHopHeader(name):
+			case IsHopHeader(name):
 			default:
 				n0 := len(r.hdr)
 				r.hdr = append(r.hdr, name...)
@@ -133,9 +161,8 @@ func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
 			// the connection.
 			return true, fmt.Errorf("unsupported Transfer-Encoding")
 		}
-		r.Body = r.Body[:0]
 		if r.Status == 101 {
-			r.Close = true // the connection now speaks another protocol
+			r.Close, r.frame = true, frameNone // the connection now speaks another protocol
 			return true, nil
 		}
 		if r.Status >= 100 && r.Status < 200 {
@@ -151,95 +178,123 @@ func (r *Response) Read(br *bufio.Reader) (began bool, err error) {
 		case r.Status == 204 || r.Status == 304:
 			// Bodyless by definition: any Content-Length on a 304 describes
 			// the representation, it does not frame bytes on this connection.
+			r.frame = frameNone
 		case chunked && !http10:
-			if err := r.readChunked(br); err != nil {
-				return true, err
-			}
+			r.frame = frameChunked
 		case clen >= 0:
 			if clen > maxBody {
 				return true, fmt.Errorf("response body %d bytes exceeds the %d bound", clen, maxBody)
 			}
-			if cap(r.Body) < clen {
-				r.Body = make([]byte, clen)
-			}
-			r.Body = r.Body[:clen]
-			if _, err := io.ReadFull(br, r.Body); err != nil {
-				return true, err
-			}
+			r.frame, r.clen = frameLength, clen
 		default:
 			// No framing: the body runs to connection close.
-			r.Close = true
-			if err := r.readToEOF(br); err != nil {
-				return true, err
-			}
+			r.frame, r.Close = frameEOF, true
 		}
 		return true, nil
 	}
 }
 
-// readChunked de-chunks a body into r.Body: size line, chunk bytes + CRLF,
-// repeat; the zero chunk's trailers run to a blank line.
-func (r *Response) readChunked(br *bufio.Reader) error {
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil {
-			return err
-		}
-		size := trimLine(line)
-		if semi := bytes.IndexByte(size, ';'); semi >= 0 {
-			size = size[:semi] // chunk extensions carry nothing we use
-		}
-		n, ok := parseUint(size, 16)
-		if !ok {
-			return fmt.Errorf("malformed chunk size %q", trimLine(line))
-		}
-		if n == 0 {
-			// Trailers, up to a blank line. net/http reads a trailer
-			// section only once it sees the CRLF CRLF ending it within one
-			// buffer of br, so every line must end in a full CRLF and the
-			// whole section must fit that buffer.
-			section := 0
-			for {
-				t, err := br.ReadSlice('\n')
-				section += len(t)
-				switch {
-				case err != nil:
-					return err
-				case section > br.Size():
-					return fmt.Errorf("chunked trailer section exceeds %d bytes", br.Size())
-				case len(t) < 2 || t[len(t)-2] != '\r':
-					return fmt.Errorf("chunked trailer line ends in a bare LF")
-				case len(t) == 2:
-					return nil
-				}
-				if _, _, ok := splitHeader(trimLine(t)); !ok {
-					return fmt.Errorf("malformed trailer line %q", trimLine(t))
-				}
+// ReadBody reads the body ReadHead framed into r.Body.
+func (r *Response) ReadBody(br *bufio.Reader) error {
+	r.Body = r.Body[:0]
+	switch r.frame {
+	case frameChunked:
+		for last := false; !last; {
+			var err error
+			if r.Body, last, err = appendChunk(br, r.Body); err != nil {
+				return err
 			}
 		}
-		if len(r.Body)+n > maxBody {
-			return fmt.Errorf("chunked body exceeds the %d bound", maxBody)
-		}
-		off := len(r.Body)
-		if cap(r.Body) < off+n {
-			grown := make([]byte, off+n, (off+n)*2)
-			copy(grown, r.Body)
-			r.Body = grown
-		} else {
-			r.Body = r.Body[:off+n]
-		}
-		if _, err := io.ReadFull(br, r.Body[off:]); err != nil {
-			return err
-		}
-		crlf, err := br.Peek(2)
-		if err != nil {
-			return err
-		}
-		if crlf[0] != '\r' || crlf[1] != '\n' {
-			return fmt.Errorf("chunk of %d bytes not followed by CRLF", n)
-		}
-		br.Discard(2) //nolint:errcheck // the two bytes are buffered
+	case frameLength:
+		r.Body = slices.Grow(r.Body, r.clen)[:r.clen]
+		_, err := io.ReadFull(br, r.Body)
+		return err
+	case frameEOF:
+		return r.readToEOF(br)
 	}
+	return nil
+}
+
+// ContentLength reports the body length ReadHead framed by Content-Length,
+// or -1 under any other framing.
+func (r *Response) ContentLength() int {
+	if r.frame != frameLength {
+		return -1
+	}
+	return r.clen
+}
+
+// Chunked reports whether the body ReadHead framed is chunked, so NextChunk
+// can read it as it arrives.
+func (r *Response) Chunked() bool { return r.frame == frameChunked }
+
+// NextChunk reads the next chunk of a chunked body into r.Body, replacing
+// what it held; last reports the zero-size last chunk, whose trailer
+// section it has read too. The chunks concatenate to the body ReadBody
+// would read.
+func (r *Response) NextChunk(br *bufio.Reader) (last bool, err error) {
+	r.Body, last, err = appendChunk(br, r.Body[:0])
+	return last, err
+}
+
+// appendChunk reads one chunk of a chunked body off br — size line, chunk
+// bytes, CRLF — and appends its bytes to dst, which may not grow past
+// maxBody. At the zero-size last chunk it reads the trailers, up to a
+// blank line, and reports last.
+func appendChunk(br *bufio.Reader, dst []byte) (_ []byte, last bool, err error) {
+	line, err := br.ReadSlice('\n')
+	if err != nil {
+		return dst, false, err
+	}
+	size := trimLine(line)
+	if semi := bytes.IndexByte(size, ';'); semi >= 0 {
+		size = size[:semi] // chunk extensions carry nothing we use
+	}
+	n, ok := parseUint(size, 16)
+	if !ok {
+		return dst, false, fmt.Errorf("malformed chunk size %q", trimLine(line))
+	}
+	if n == 0 {
+		// Trailers, up to a blank line. net/http reads a trailer section
+		// only once it sees the CRLF CRLF ending it within one buffer of
+		// br, so every line must end in a full CRLF and the whole section
+		// must fit that buffer.
+		section := 0
+		for {
+			t, err := br.ReadSlice('\n')
+			section += len(t)
+			switch {
+			case err != nil:
+				return dst, false, err
+			case section > br.Size():
+				return dst, false, fmt.Errorf("chunked trailer section exceeds %d bytes", br.Size())
+			case len(t) < 2 || t[len(t)-2] != '\r':
+				return dst, false, fmt.Errorf("chunked trailer line ends in a bare LF")
+			case len(t) == 2:
+				return dst, true, nil
+			}
+			if _, _, ok := splitHeader(trimLine(t)); !ok {
+				return dst, false, fmt.Errorf("malformed trailer line %q", trimLine(t))
+			}
+		}
+	}
+	if len(dst)+n > maxBody {
+		return dst, false, fmt.Errorf("chunked body exceeds the %d bound", maxBody)
+	}
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	if _, err := io.ReadFull(br, dst[off:]); err != nil {
+		return dst, false, err
+	}
+	crlf, err := br.Peek(2)
+	if err != nil {
+		return dst, false, err
+	}
+	if crlf[0] != '\r' || crlf[1] != '\n' {
+		return dst, false, fmt.Errorf("chunk of %d bytes not followed by CRLF", n)
+	}
+	br.Discard(2) //nolint:errcheck // the two bytes are buffered
+	return dst, false, nil
 }
 
 // readToEOF drains br into r.Body, bounded by maxBody.
@@ -355,7 +410,7 @@ func hasToken(v []byte, tok string) bool {
 
 // asciiFold reports whether b equals name ASCII-case-insensitively.
 // Allocation-free.
-func asciiFold(b []byte, name string) bool {
+func asciiFold[T string | []byte](b T, name string) bool {
 	if len(b) != len(name) {
 		return false
 	}
@@ -376,8 +431,10 @@ func asciiFold(b []byte, name string) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func isHopHeader(name []byte) bool {
-	for _, h := range HopHeaders {
+// IsHopHeader reports whether name (ASCII case-insensitive) is a
+// connection-scoped header that must not cross a proxy hop.
+func IsHopHeader[T string | []byte](name T) bool {
+	for _, h := range hopHeaders {
 		if asciiFold(name, h) {
 			return true
 		}

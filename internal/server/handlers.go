@@ -40,9 +40,11 @@ func ipc(instrs, cycles int64) float64 {
 	return float64(instrs) / float64(cycles)
 }
 
-// maxBodyBytes bounds request bodies — shared by the decode path and the
-// v1 wrapper's raw-fingerprint slurp so both refuse at the same size.
-const maxBodyBytes = 4 << 20
+// MaxBodyBytes bounds request bodies — shared by the decode path and the
+// v1 wrapper's raw-fingerprint slurp so both refuse at the same size. The
+// fleet router buffers bodies up to the same bound: what it holds whole is
+// exactly what a backend can accept.
+const MaxBodyBytes = 4 << 20
 
 // decodeRequest decodes a JSON request body into req (zero on entry) under
 // the decode stage. A body the server already holds (heldBytes) is decoded
@@ -67,7 +69,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req any) 
 			_, err = decodeJSON(b, req)
 		}
 	} else {
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		err = dec.Decode(req)

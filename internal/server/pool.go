@@ -83,7 +83,7 @@ func putBodyScratch(s *bodyScratch) {
 }
 
 // heldBytes returns r's body bytes when a bodyScratch already holds them
-// (at most maxBodyBytes), so decoding needs no read.
+// (at most MaxBodyBytes), so decoding needs no read.
 func heldBytes(r *http.Request) ([]byte, bool) {
 	if sc, ok := r.Body.(*bodyScratch); ok {
 		return sc.held, true

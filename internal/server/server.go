@@ -412,9 +412,9 @@ func (s *Server) fingerprintRaw(r *http.Request) (k respKey, sc *bodyScratch, ok
 		return rawRequestKey(r.URL.Path, r.URL.RawQuery, nil), nil, true
 	}
 	sc = getBodyScratch()
-	sc.lim = io.LimitedReader{R: r.Body, N: maxBodyBytes + 1}
+	sc.lim = io.LimitedReader{R: r.Body, N: MaxBodyBytes + 1}
 	_, err := sc.buf.ReadFrom(&sc.lim)
-	if err != nil || sc.buf.Len() > maxBodyBytes {
+	if err != nil || sc.buf.Len() > MaxBodyBytes {
 		r.Body = readCloser{io.MultiReader(bytes.NewReader(sc.buf.Bytes()), r.Body), r.Body}
 		return respKey{}, sc, false
 	}
