@@ -104,7 +104,7 @@ func directive(line string, m *mem.Memory) error {
 		if f[0] == ".byte" {
 			size = 1
 		}
-		if fault := m.Write(addr, size, uint64(val)); fault != nil {
+		if fault := m.Write(addr, size, uint64(val)); fault.Failed() {
 			return fmt.Errorf("%s: %v", f[0], fault)
 		}
 		return nil
@@ -117,7 +117,7 @@ func directive(line string, m *mem.Memory) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf(".fp: bad numbers")
 		}
-		if fault := m.Write(addr, 8, math.Float64bits(val)); fault != nil {
+		if fault := m.Write(addr, 8, math.Float64bits(val)); fault.Failed() {
 			return fmt.Errorf(".fp: %v", fault)
 		}
 		return nil

@@ -71,6 +71,22 @@ func releaseDirty(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, md
 	return g
 }
 
+// sameEdges reports the first difference between two edge sequences of
+// graphs built from the same block.
+func sameEdges(got, want []*depgraph.Edge) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d edges, reference %d", len(got), len(want))
+	}
+	for i, e := range got {
+		r := want[i]
+		if e.From.ID != r.From.ID || e.To.ID != r.To.ID || e.Kind != r.Kind || e.Delay != r.Delay {
+			return fmt.Errorf("edge %d: %d->%d %v/%d, reference %d->%d %v/%d", i,
+				e.From.ID, e.To.ID, e.Kind, e.Delay, r.From.ID, r.To.ID, r.Kind, r.Delay)
+		}
+	}
+	return nil
+}
+
 // sameGraph reports the first difference between a graph built on recycled
 // storage and one built on fresh storage from the same block.
 func sameGraph(got, want *depgraph.Graph) error {
@@ -145,6 +161,7 @@ func TestPooledGraphsMatchFresh(t *testing.T) {
 	)
 	small.Superblock = true
 	sp.AddBlock("out", ir.ALUI(ir.Add, ir.R(4), ir.R(1), 1), ir.HALT())
+	sp.Layout()
 	smallLv, smallPv := dataflow.Compute(sp), alias.Analyze(sp)
 
 	builds, reused := 0, 0
@@ -268,11 +285,11 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// prepare is prepareOwned on a clone of p, returning the clone: the block
+// prepare is Prepare on a clone of p, returning the clone: the block
 // scheduler's inputs for one kernel, leaving p untouched.
 func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Liveness, *alias.Provenance, Stats, error) {
 	p = p.Clone()
-	lv, pv, stats, err := prepareOwned(p, md)
+	lv, pv, stats, err := Prepare(p, md)
 	if err != nil {
 		return nil, nil, nil, stats, err
 	}

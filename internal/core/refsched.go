@@ -3,11 +3,14 @@ package core
 // The seed (pre-dense-index) list scheduler, kept verbatim as a differential
 // oracle: it scans g.Nodes for every decision and keys all per-node state by
 // *depgraph.Node maps, which makes it O(n^2 .. n^3) per block but trivially
-// auditable against the paper's Appendix. The production scheduler in
-// schedule.go must emit byte-identical programs; TestSchedulerMatchesReference
-// (core) and TestDenseSchedulerMatchesReferenceOnCorpus (eval) enforce that on
-// the full workload set and on differential-fuzz corpus inputs. It is not
-// used on any production path.
+// auditable against the paper's Appendix. It schedules on the dense
+// control dependences (depgraph.BuildReference), so the comparison also
+// checks the sparse graphs the production scheduler runs on. The production
+// scheduler in schedule.go must emit byte-identical programs;
+// TestSchedulerMatchesReference (core) and
+// TestScheduleMatchesReferenceOnFuzzCorpus (eval) enforce that on the full
+// workload set and on differential-fuzz corpus inputs. It is not used on any
+// production path.
 
 import (
 	"fmt"
@@ -43,7 +46,7 @@ type refScheduler struct {
 }
 
 func refScheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, md machine.Desc) (Stats, error) {
-	g := depgraph.Build(b, lv, pv)
+	g := depgraph.BuildReference(b, lv, pv)
 	g.Reduce(md)
 	s := &refScheduler{
 		g:       g,

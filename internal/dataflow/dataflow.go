@@ -100,12 +100,22 @@ func UsedRegs(p *prog.Program) RegSet {
 	return used
 }
 
-// Liveness holds per-block live-in/out sets.
+// Liveness holds the live-in and live-out sets of every block, by block
+// position in the program.
 type Liveness struct {
-	In  map[string]RegSet
-	Out map[string]RegSet
+	In  []RegSet
+	Out []RegSet
 
 	p *prog.Program
+}
+
+// LiveIn returns the live-in set of the labelled block (empty when no block
+// has the label), for tests and tools.
+func (lv *Liveness) LiveIn(label string) RegSet {
+	if i := lv.p.Index(label); i >= 0 {
+		return lv.In[i]
+	}
+	return RegSet{}
 }
 
 // blockUseDef computes the upward-exposed uses and the definitions of a
@@ -125,34 +135,22 @@ func blockUseDef(b *prog.Block) (use, def RegSet) {
 	return use, def
 }
 
-// Compute runs the standard backward iterative live-variable analysis on p.
-// It works on both basic-block programs and superblock programs (where
-// side-exit branches contribute their targets as successors). The fixpoint
-// runs over block indices: successor edges are resolved once, so an
-// iteration allocates nothing.
+// Compute runs the standard backward iterative live-variable analysis on p,
+// which must be laid out (prog.Program.Layout). It works on both
+// basic-block programs and superblock programs (where side-exit branches
+// contribute their targets as successors). The fixpoint runs over block
+// positions, so an iteration allocates nothing.
 func Compute(p *prog.Program) *Liveness {
 	n := len(p.Blocks)
-	index := make(map[string]int32, n)
-	for i, b := range p.Blocks {
-		index[b.Label] = int32(i)
-	}
-	// Block i's successors are succ[off[i]:off[i+1]]; a target no block
-	// defines contributes nothing, as an absent live-in set would.
+	// Block i's successors are succ[off[i]:off[i+1]].
 	off := make([]int32, n+1)
 	succ := make([]int32, 0, 2*n)
-	var lb [4]string
-	labels := lb[:0]
-	for i, b := range p.Blocks {
-		labels = p.AppendSuccessors(labels[:0], b)
-		for _, l := range labels {
-			if j, ok := index[l]; ok {
-				succ = append(succ, j)
-			}
-		}
+	for i := range p.Blocks {
+		succ = p.AppendSuccessors(succ, i)
 		off[i+1] = int32(len(succ))
 	}
 	sets := make([]RegSet, 4*n)
-	use, def, in, out := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n:]
+	use, def, in, out := sets[:n], sets[n:2*n], sets[2*n:3*n:3*n], sets[3*n:]
 	for i, b := range p.Blocks {
 		use[i], def[i] = blockUseDef(b)
 	}
@@ -170,26 +168,17 @@ func Compute(p *prog.Program) *Liveness {
 			}
 		}
 	}
-	lv := &Liveness{
-		In:  make(map[string]RegSet, n),
-		Out: make(map[string]RegSet, n),
-		p:   p,
-	}
-	for i, b := range p.Blocks {
-		lv.In[b.Label], lv.Out[b.Label] = in[i], out[i]
-	}
-	return lv
+	return &Liveness{In: in, Out: out, p: p}
 }
 
-// LiveAtTaken returns the set of registers live when the branch at
-// b.Instrs[idx] is taken: the live-in set of its target block. For Jsr/Halt
-// (no target) it returns the empty set.
-func (lv *Liveness) LiveAtTaken(b *prog.Block, idx int) RegSet {
-	in := b.Instrs[idx]
-	if !ir.IsBranch(in.Op) && in.Op != ir.Jmp {
+// LiveAtTaken returns the set of registers live when the branch or jump in
+// is taken: the live-in set of its resolved target block. For any other
+// instruction it returns the empty set.
+func (lv *Liveness) LiveAtTaken(in *ir.Instr) RegSet {
+	if (!ir.IsBranch(in.Op) && in.Op != ir.Jmp) || in.TargetIndex < 0 {
 		return RegSet{}
 	}
-	return lv.In[in.Target]
+	return lv.In[in.TargetIndex]
 }
 
 // UninitializedAtEntry returns the registers that may be read before being
@@ -197,36 +186,26 @@ func (lv *Liveness) LiveAtTaken(b *prog.Block, idx int) RegSet {
 // block. Sentinel models must reset these registers' exception tags before
 // use (§3.5).
 func (lv *Liveness) UninitializedAtEntry() RegSet {
-	return lv.In[lv.p.Entry]
+	return lv.LiveIn(lv.p.Entry)
 }
 
-// LiveWithinBlock computes, for each instruction index i in block b, the
+// LiveWithinBlock computes, for each instruction index i in block bi, the
 // set of registers live immediately AFTER instruction i executes, taking
-// side exits into account. Index -1's result (live before the first
-// instruction) is stored at position 0 of the second return value... to keep
-// the API simple we return after-sets only; the before-set of instruction i
-// equals after-set of i-1 with i's effects removed, which callers rarely
-// need. The scheduler uses after-sets to decide whether an instruction's
-// value can legally move below a later branch.
-func (lv *Liveness) LiveWithinBlock(b *prog.Block) []RegSet {
-	n := len(b.Instrs)
-	after := make([]RegSet, n)
+// side exits into account. The before-set of instruction i equals the
+// after-set of i-1, which callers rarely need.
+func (lv *Liveness) LiveWithinBlock(bi int) []RegSet {
+	b := lv.p.Blocks[bi]
+	after := make([]RegSet, len(b.Instrs))
 	// Walk backward from the block's fall-through live-out. Side exits
 	// contribute their targets' live-in sets at the branch sites inside the
-	// loop, so the seed must be the fall-through path only: the live-in of
-	// the next block in program order, or empty if the block cannot fall
-	// through (terminal Halt or Jmp — a terminal Jmp's target is unioned in
-	// by the loop).
+	// loop, so the seed is the fall-through path only: the live-in of the
+	// next block, or empty if the block cannot fall through (terminal Halt
+	// or Jmp — a terminal Jmp's target is unioned in by the loop).
 	var cur RegSet
-	if n > 0 {
-		last := b.Instrs[n-1]
-		if last.Op != ir.Halt && last.Op != ir.Jmp {
-			if idx := lv.p.BlockIndex(b.Label); idx >= 0 && idx+1 < len(lv.p.Blocks) {
-				cur = lv.In[lv.p.Blocks[idx+1].Label]
-			}
-		}
+	if lv.p.FallsThrough(bi) {
+		cur = lv.In[bi+1]
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		after[i] = cur
 		in := b.Instrs[i]
 		if d, ok := in.Def(); ok {
@@ -238,9 +217,7 @@ func (lv *Liveness) LiveWithinBlock(b *prog.Block) []RegSet {
 				cur.Add(u)
 			}
 		}
-		if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && lv.p.Block(in.Target) != nil {
-			cur = cur.Union(lv.In[in.Target])
-		}
+		cur = cur.Union(lv.LiveAtTaken(in))
 	}
 	return after
 }

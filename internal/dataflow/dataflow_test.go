@@ -57,6 +57,7 @@ func diamond() *prog.Program {
 		ir.JSR("putint", ir.R(4)),
 		ir.HALT(),
 	)
+	p.Layout()
 	return p
 }
 
@@ -65,7 +66,7 @@ func TestLivenessDiamond(t *testing.T) {
 	lv := Compute(p)
 
 	// r2 and r3 are live into join.
-	join := lv.In["join"]
+	join := lv.LiveIn("join")
 	if !join.Has(ir.R(2)) || !join.Has(ir.R(3)) {
 		t.Errorf("join live-in = %v", join.Regs())
 	}
@@ -74,7 +75,7 @@ func TestLivenessDiamond(t *testing.T) {
 	}
 	// r3 is live into left (defined only in right but used in join — left
 	// path reads it uninitialized); r2 is not live into left (defined there).
-	left := lv.In["left"]
+	left := lv.LiveIn("left")
 	if !left.Has(ir.R(3)) || left.Has(ir.R(2)) {
 		t.Errorf("left live-in = %v", left.Regs())
 	}
@@ -93,7 +94,7 @@ func TestLiveAtTaken(t *testing.T) {
 	p := diamond()
 	lv := Compute(p)
 	entry := p.Block("entry")
-	taken := lv.LiveAtTaken(entry, 1) // beq -> right
+	taken := lv.LiveAtTaken(entry.Instrs[1]) // beq -> right
 	if !taken.Has(ir.R(2)) {
 		// right does not define r2, join uses it.
 		t.Errorf("live at taken(entry beq) = %v, want r2 in it", taken.Regs())
@@ -102,7 +103,7 @@ func TestLiveAtTaken(t *testing.T) {
 		t.Errorf("r1 dead at right: %v", taken.Regs())
 	}
 	// Non-branch instruction: empty set.
-	if !lv.LiveAtTaken(entry, 0).Empty() {
+	if !lv.LiveAtTaken(entry.Instrs[0]).Empty() {
 		t.Error("LiveAtTaken of non-branch must be empty")
 	}
 }
@@ -117,8 +118,9 @@ func TestLivenessLoop(t *testing.T) {
 		ir.BR(ir.Blt, ir.R(1), ir.R(2), "loop"),
 	)
 	p.AddBlock("exit", ir.JSR("putint", ir.R(1)), ir.HALT())
+	p.Layout()
 	lv := Compute(p)
-	in := lv.In["loop"]
+	in := lv.LiveIn("loop")
 	if !in.Has(ir.R(1)) || !in.Has(ir.R(2)) {
 		t.Errorf("loop live-in = %v, want r1 and r2", in.Regs())
 	}
@@ -130,7 +132,7 @@ func TestLivenessLoop(t *testing.T) {
 func TestLiveWithinBlock(t *testing.T) {
 	// Superblock with a side exit: r5 used only at "out" target.
 	p := prog.NewProgram()
-	b := p.AddBlock("sb",
+	sb := p.AddBlock("sb",
 		ir.LI(ir.R(5), 1),                         // 0
 		ir.BRI(ir.Beq, ir.R(1), 0, "out"),         // 1: side exit, r5 live at out
 		ir.LI(ir.R(5), 2),                         // 2: redefines r5
@@ -138,10 +140,11 @@ func TestLiveWithinBlock(t *testing.T) {
 		ir.JSR("putint", ir.R(6)),                 // 4
 		ir.HALT(),                                 // 5
 	)
-	b.Superblock = true
+	sb.Superblock = true
 	p.AddBlock("out", ir.JSR("putint", ir.R(5)), ir.HALT())
+	p.Layout()
 	lv := Compute(p)
-	after := lv.LiveWithinBlock(b)
+	after := lv.LiveWithinBlock(0)
 	if len(after) != 6 {
 		t.Fatalf("len(after) = %d", len(after))
 	}
@@ -169,14 +172,15 @@ func TestLivenessFixpointQuick(t *testing.T) {
 		}
 		instrs = append(instrs, ir.HALT())
 		p.AddBlock("b0", instrs...)
+		p.Layout()
 		return p
 	}
 	f := func(seed uint32) bool {
 		p := build(seed)
 		lv := Compute(p)
 		use, def := blockUseDef(p.Blocks[0])
-		want := use.Union(lv.Out["b0"].Diff(def))
-		return lv.In["b0"] == want
+		want := use.Union(lv.Out[0].Diff(def))
+		return lv.In[0] == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

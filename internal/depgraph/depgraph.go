@@ -32,6 +32,8 @@ package depgraph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"sentinel/internal/alias"
@@ -61,10 +63,7 @@ func (k Kind) String() string { return kindNames[k] }
 type Edge struct {
 	From, To *Node
 	Kind     Kind
-	// dropped marks a control edge Reduce removed, so each Out list is
-	// compacted in one pass afterwards.
-	dropped bool
-	Delay   int
+	Delay    int
 }
 
 // Node wraps one instruction of the superblock.
@@ -115,15 +114,15 @@ type Graph struct {
 	// links is the shared backing array the per-node In/Out sub-slices are
 	// carved from: In lists from its first half, Out lists from its second.
 	links []*Edge
-	// branchPrefix[i] counts conditional branches at original indices < i.
-	branchPrefix []int32
-	// takenLive[k] is the set of registers live when the k-th conditional
-	// branch (the one at original index i with branchPrefix[i] == k) is
-	// taken, looked up once during Build.
+	// takenLive[i] is the set of registers live when the conditional
+	// branch at original index i is taken (empty for any other node),
+	// looked up once during Build.
 	takenLive []dataflow.RegSet
 
 	pv      *alias.Provenance
 	reduced bool
+	// dense marks a graph built by BuildReference.
+	dense bool
 	// RemovedControl counts control dependences removed by reduction
 	// (reported by ablation experiments).
 	RemovedControl int
@@ -153,15 +152,20 @@ type edgeRec struct {
 	kind     Kind
 }
 
-// Build constructs the full dependence graph of superblock b (all data,
-// memory and control dependences, no reduction). lv must be liveness for the
-// program containing b; pv supplies pointer provenance for memory
-// disambiguation and may be nil (fully conservative aliasing). Every
-// register in b must be physical. The graph comes from a pool; a caller
-// that is done with it may hand it back with Release.
+// Build constructs the dependence graph of superblock b: every data and
+// memory dependence, and the control dependences in sparse form (see
+// controlDeps), with no reduction. lv must be liveness for the program
+// containing b; pv supplies pointer provenance for memory disambiguation
+// and may be nil (fully conservative aliasing). Every register in b must
+// be physical. The graph comes from a pool; a caller that is done with it
+// may hand it back with Release.
 func Build(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance) *Graph {
+	return buildGraph(b, lv, pv, false)
+}
+
+func buildGraph(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, dense bool) *Graph {
 	g := graphPool.Get().(*Graph)
-	g.Block, g.pv, g.reduced, g.RemovedControl = b, pv, false, 0
+	g.Block, g.pv, g.reduced, g.dense, g.RemovedControl = b, pv, false, dense, 0
 	n := len(b.Instrs)
 	g.arena = resize(g.arena, n, 2*n)
 	g.Nodes = resize(g.Nodes, n, n)
@@ -170,24 +174,24 @@ func Build(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance) *Graph {
 		g.Nodes[i] = &g.arena[i]
 	}
 	g.homeBlocks()
-	g.branchPrefix = resize(g.branchPrefix, n+1, n+1)
-	g.branchPrefix[0] = 0
+	g.takenLive = resize(g.takenLive, n, n)
 	for i, in := range b.Instrs {
-		g.branchPrefix[i+1] = g.branchPrefix[i]
+		g.takenLive[i] = dataflow.RegSet{}
 		if ir.IsBranch(in.Op) {
-			g.branchPrefix[i+1]++
+			g.takenLive[i] = lv.LiveAtTaken(in)
 		}
 	}
-	// Every entry is written by controlDeps before Reduce reads it.
-	nb := int(g.branchPrefix[n])
-	g.takenLive = resize(g.takenLive, nb, nb)
 	bd := &g.bd
-	bd.g, bd.lv, bd.recs = g, lv, bd.recs[:0]
+	bd.g, bd.recs = g, bd.recs[:0]
 	bd.registerDeps()
 	bd.memoryDeps()
-	bd.controlDeps()
+	if dense {
+		bd.denseControlDeps()
+	} else {
+		bd.controlDeps()
+	}
 	bd.finalize()
-	bd.g, bd.lv = nil, nil
+	bd.g = nil
 	return g
 }
 
@@ -231,7 +235,6 @@ func (g *Graph) homeBlocks() {
 // pooled reuse.
 type builder struct {
 	g    *Graph
-	lv   *dataflow.Liveness
 	recs []edgeRec
 
 	lastDef      [physSlots]int32
@@ -242,6 +245,17 @@ type builder struct {
 	stores       []access
 	inCnt        []int32
 	outCnt       []int32
+
+	// Control-dependence scratch: nextNeed[k] is the first later branch
+	// taken with register slot k live (Build); lastLive[k] the nearest
+	// earlier one and liveCnt[k] their number, branchAt the positions of
+	// the branches passed so far (Reduce). The records stay after Build,
+	// so Reduce can move edges and finalize again.
+	nextNeed  [physSlots]int32
+	lastLive  [physSlots]int32
+	liveCnt   [physSlots]int32
+	branchAt  []int32
+	branchRec []int32 // per node: its upward branch edge's record
 }
 
 const physSlots = ir.NumIntRegs + ir.NumFPRegs
@@ -367,55 +381,80 @@ func (bd *builder) memoryDeps() {
 	bd.loads, bd.stores = loads, stores
 }
 
+// controlDeps records the control dependences in sparse form (DESIGN.md
+// "Sparse control dependences"): each is implied by a path through the
+// controls between its ends, which are chained with delay 0 and whose
+// branches share one latency. Upward, each control depends on the previous
+// control, and every other instruction on the nearest branch above it —
+// with the branch latency when it traps: a non-speculative trapping
+// instruction issued in an older branch's group would signal a wrong-path
+// exception — and on the nearest call above it. Downward, each non-control
+// instruction precedes the first later control that needs it: any exit
+// for a store or trapping instruction (its effect or exception must be
+// visible if the exit is taken), a branch taken with its destination live,
+// or an unconditional exit, past which nothing may sink.
 func (bd *builder) controlDeps() {
 	g := bd.g
-	for ci, c := range g.Nodes {
-		if !ir.IsControl(c.Instr.Op) {
+	n := len(g.Nodes)
+	bd.branchRec = resize(bd.branchRec, n, n)
+	lastBranch, lastOther := -1, -1
+	for i, nd := range g.Nodes {
+		op := nd.Instr.Op
+		switch {
+		case ir.IsControl(op):
+			if prev := max(lastBranch, lastOther); prev >= 0 {
+				bd.rec(prev, i, Control, 0)
+			}
+			if ir.IsBranch(op) {
+				lastBranch = i
+			} else {
+				lastOther = i
+			}
 			continue
-		}
-		// Upward-motion restrictions: control dependence from the control
-		// instruction to every later instruction. Reduction may remove
-		// these for conditional branches.
-		//
-		// A non-speculative potentially-trapping instruction must wait for
-		// an older conditional branch to RESOLVE (branch latency, 1 cycle):
-		// were it issued in the branch's own group, a wrong-path exception
-		// would be signalled — precisely the hazard that requires sentinel
-		// hardware. Non-trapping instructions may share the branch's group;
-		// a taken branch nullifies younger slots cleanly.
-		for i := ci + 1; i < len(g.Nodes); i++ {
+		case lastBranch >= 0:
 			delay := 0
-			if ir.IsBranch(c.Instr.Op) && ir.Traps(g.Nodes[i].Instr.Op) {
-				delay = machine.Latency(c.Instr.Op)
+			if ir.Traps(op) {
+				delay = machine.Latency(g.Nodes[lastBranch].Instr.Op)
 			}
-			bd.rec(ci, i, Control, delay)
+			bd.branchRec[i] = int32(len(bd.recs))
+			bd.rec(lastBranch, i, Control, delay)
 		}
-		// Downward-motion restrictions: instructions whose effects must be
-		// architecturally visible if the exit is taken may not sink below
-		// it: stores, trapping instructions (their exception would be
-		// lost), and producers of values live on the taken path. Nothing
-		// may sink past an unconditional exit (Jmp/Halt): it could never
-		// execute, and blocks must stay well-formed.
-		live := bd.lv.LiveAtTaken(g.Block, ci)
-		if ir.IsBranch(c.Instr.Op) {
-			g.takenLive[g.branchPrefix[ci]] = live
+		if lastOther >= 0 {
+			bd.rec(lastOther, i, Control, 0)
 		}
-		uncond := c.Instr.Op == ir.Jmp || c.Instr.Op == ir.Halt
-		for i := 0; i < ci; i++ {
-			nd := g.Nodes[i]
-			in := nd.Instr
-			if ir.IsControl(in.Op) {
-				continue // already ordered via the control edge above
-			}
-			need := uncond || ir.IsStore(in.Op) || ir.Traps(in.Op)
-			if !need {
-				if d, ok := in.Def(); ok && live.Has(d) {
-					need = true
+	}
+
+	nextNeed := &bd.nextNeed
+	for k := range nextNeed {
+		nextNeed[k] = int32(n)
+	}
+	nextCtrl, nextExit := n, n
+	for i := n - 1; i >= 0; i-- {
+		in := g.Nodes[i].Instr
+		switch {
+		case ir.IsBranch(in.Op):
+			nextCtrl = i
+			for live, w := g.takenLive[i], 0; w < 2; w++ {
+				for m := live[w]; m != 0; m &= m - 1 {
+					nextNeed[w*64+bits.TrailingZeros64(m)] = int32(i)
 				}
 			}
-			if need {
-				bd.rec(i, ci, Control, 0)
+			continue
+		case ir.IsControl(in.Op):
+			nextCtrl = i
+			if in.Op == ir.Jmp || in.Op == ir.Halt {
+				nextExit = i
 			}
+			continue
+		}
+		to := nextExit
+		if ir.IsStore(in.Op) || ir.Traps(in.Op) {
+			to = nextCtrl
+		} else if d, ok := in.Def(); ok {
+			to = min(to, int(nextNeed[d.Index()]))
+		}
+		if to < n {
+			bd.rec(i, to, Control, 0)
 		}
 	}
 }
@@ -486,9 +525,10 @@ func (g *Graph) newNode(tpl Node) *Node {
 // to be speculative and dest(I) is not live when BR is taken, and it marks
 // unprotected instructions. Reduce may be called once per graph.
 //
-// It is O(E): each node's In list is filtered in place, the removed edges
-// are marked, and every branch's Out list is then compacted once, keeping
-// the surviving edges in order.
+// The dense edges that survive are implied by one from the nearest branch
+// the model keeps, so Reduce re-targets I's one branch edge there, or drops
+// it when no branch is kept, counts the removed dense edges arithmetically,
+// and relinks the graph once when an edge moved.
 func (g *Graph) Reduce(md machine.Desc) {
 	if g.reduced {
 		panic("depgraph: Reduce called twice")
@@ -497,74 +537,70 @@ func (g *Graph) Reduce(md machine.Desc) {
 	if md.Model != machine.Boosting {
 		g.markUnprotected(md)
 	}
-
-	removed := 0
-	for _, nd := range g.Nodes {
-		in := nd.Instr
-		if !md.AllowSpeculative(in.Op) {
-			continue
-		}
-		d, hasDest := in.Def()
-		keep := nd.In[:0]
-		for _, e := range nd.In {
-			if e.Kind == Control && e.From.Index < nd.Index && ir.IsBranch(e.From.Instr.Op) {
-				var drop bool
-				if md.Model == machine.Boosting {
-					// Boosting enforces NEITHER restriction (§2.3): the
-					// shadow register file holds the result until the
-					// crossed branches commit, so even a live destination
-					// may be boosted — but only above at most BoostLevels
-					// branches (shadow storage is finite).
-					drop = g.branchesBetween(e.From.Index, nd.Index) <= md.BoostLevels
-				} else {
-					// Restriction (1): dest(I) must not be used before being
-					// redefined when BR is taken. Stores have no destination:
-					// restriction (1) holds trivially and §4.2 removes the
-					// dependence outright (memory edges still apply).
-					drop = !hasDest || !g.takenLive[g.branchPrefix[e.From.Index]].Has(d)
-				}
-				if drop {
-					e.dropped = true
-					removed++
-					continue
-				}
-			}
-			keep = append(keep, e)
-		}
-		nd.In = keep
-	}
-	g.RemovedControl += removed
-	if removed == 0 {
+	if g.dense {
+		g.reduceDense(md)
 		return
 	}
-	for _, nd := range g.Nodes {
-		if !ir.IsBranch(nd.Instr.Op) {
+	bd := &g.bd
+	lastLive, liveCnt := &bd.lastLive, &bd.liveCnt
+	for k := range lastLive {
+		lastLive[k], liveCnt[k] = -1, 0
+	}
+	branchAt := bd.branchAt[:0]
+	removed, moved := 0, false
+	for i := range len(g.takenLive) {
+		in := g.Nodes[i].Instr
+		if ir.IsBranch(in.Op) {
+			for live, w := g.takenLive[i], 0; w < 2; w++ {
+				for m := live[w]; m != 0; m &= m - 1 {
+					k := w*64 + bits.TrailingZeros64(m)
+					lastLive[k] = int32(i)
+					liveCnt[k]++
+				}
+			}
+			branchAt = append(branchAt, int32(i))
 			continue
 		}
-		keep := nd.Out[:0]
-		for _, e := range nd.Out {
-			if !e.dropped {
-				keep = append(keep, e)
-			}
+		above := len(branchAt)
+		if above == 0 || !md.AllowSpeculative(in.Op) {
+			continue
 		}
-		nd.Out = keep
+		// kept is the nearest branch whose control dependence survives.
+		kept := int32(-1)
+		if d, hasDest := in.Def(); md.Model == machine.Boosting {
+			// Boosting enforces NEITHER restriction (§2.3): the shadow
+			// register file holds the result until the crossed branches
+			// commit, so even a live destination may be boosted — but
+			// only above at most BoostLevels branches (shadow storage is
+			// finite).
+			if k := above - 1 - md.BoostLevels; k >= 0 {
+				kept = branchAt[k]
+			}
+			removed += min(above, md.BoostLevels)
+		} else if hasDest {
+			// Restriction (1): dest(I) must not be used before being
+			// redefined when BR is taken.
+			kept = lastLive[d.Index()]
+			removed += above - int(liveCnt[d.Index()])
+		} else {
+			// Stores have no destination: restriction (1) holds trivially
+			// and §4.2 removes the dependence outright (memory edges still
+			// apply).
+			removed += above
+		}
+		if kept != branchAt[above-1] {
+			bd.recs[bd.branchRec[i]].from = kept
+			moved = true
+		}
 	}
-}
-
-// branchesBetween counts conditional branches with original index in
-// [from, to): the number of branches an instruction at to crosses when
-// hoisted above the branch at from. Answered from the prefix sums computed
-// during Build (sentinels inserted later never count: they are appended past
-// the prefix range and are not branches).
-func (g *Graph) branchesBetween(from, to int) int {
-	n := len(g.branchPrefix) - 1
-	if to > n {
-		to = n
+	bd.branchAt = branchAt
+	g.RemovedControl += removed
+	if moved {
+		bd.recs = slices.DeleteFunc(bd.recs, func(r edgeRec) bool { return r.from < 0 })
+		bd.g = g
+		bd.finalize()
+		bd.g = nil
 	}
-	if from >= to {
-		return 0
-	}
-	return int(g.branchPrefix[to] - g.branchPrefix[from])
 }
 
 // markUnprotected implements the protected/unprotected classification of the

@@ -43,6 +43,7 @@ func build(t *testing.T, md machine.Desc) (*Graph, *prog.Block) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	p.Layout()
 	lv := dataflow.Compute(p)
 	g := Build(sb, lv, nil)
 	g.Reduce(md)
@@ -148,6 +149,7 @@ func TestReductionKeepsLiveDest(t *testing.T) {
 	)
 	sb.Superblock = true
 	p.AddBlock("L1", ir.JSR("putint", ir.R(1)), ir.HALT())
+	p.Layout()
 	lv := dataflow.Compute(p)
 	g := Build(sb, lv, nil)
 	g.Reduce(machine.Base(8, machine.Sentinel))
@@ -170,6 +172,7 @@ func TestDownwardMotionEdges(t *testing.T) {
 	)
 	sb.Superblock = true
 	p.AddBlock("L1", ir.JSR("putint", ir.R(9)), ir.HALT())
+	p.Layout()
 	lv := dataflow.Compute(p)
 	g := Build(sb, lv, nil)
 	for _, idx := range []int{0, 1, 2} {
@@ -194,6 +197,7 @@ func TestMemoryDisambiguation(t *testing.T) {
 		ir.HALT(),
 	)
 	sb.Superblock = true
+	p.Layout()
 	lv := dataflow.Compute(p)
 	g := Build(sb, lv, nil)
 	if edge(g, 0, 1, Mem) {
@@ -228,6 +232,7 @@ func TestMemoryDisambiguationProvenance(t *testing.T) {
 		ir.HALT(),
 	)
 	sb.Superblock = true
+	p.Layout()
 	lv := dataflow.Compute(p)
 	pv := alias.Analyze(p)
 	g := Build(sb, lv, pv)
@@ -351,6 +356,7 @@ func TestStoreOrdersAgainstPriorAccesses(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	p.Layout()
 	g := Build(sb, dataflow.Compute(p), nil)
 
 	// Distinct bases with no provenance info may alias pairwise.

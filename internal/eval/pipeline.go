@@ -89,11 +89,10 @@ func Front(p *prog.Program, m *mem.Memory, o FrontOptions) (*prog.Program, *prog
 }
 
 // form forms superblocks of the laid-out program p, which it owns, from a
-// profile of its run, then lays out and validates the result. The Runner's
+// profile of its run, and validates the laid-out result. The Runner's
 // forms cache calls it on a clone of its cached build, once per option set.
 func form(p *prog.Program, prof *prog.Profile, sbo superblock.Options) (*prog.Program, error) {
 	f := superblock.FormOwned(p, prof, sbo)
-	f.Layout()
 	if err := f.Validate(); err != nil {
 		return nil, &StageError{StageFormation, err}
 	}

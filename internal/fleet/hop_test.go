@@ -183,8 +183,7 @@ func TestFleetBatchStreamsElementByElement(t *testing.T) {
 
 // TestFleetOverLimitBodyRelaysRefusal: a body one byte over the backends'
 // limit cannot be buffered for a retry; the router forwards it anyway and
-// relays the backend's own refusal bytes (a 400 "request body too large"
-// envelope).
+// relays the backend's own refusal bytes (a 413 "too_large" envelope).
 func TestFleetOverLimitBodyRelaysRefusal(t *testing.T) {
 	_, _, router := startFleet(t, 2, func(c *fleet.Config) { c.RespCacheEntries = -1 })
 	body := bytes.Repeat([]byte(" "), 4<<20+1)
@@ -193,12 +192,87 @@ func TestFleetOverLimitBodyRelaysRefusal(t *testing.T) {
 		t.Fatalf("over-limit body answered by %q (status %d: %s), want a backend", proxied.backend, proxied.status, proxied.body)
 	}
 	direct := post(t, proxied.backend, "/v1/simulate", body)
-	if direct.status != http.StatusBadRequest || !bytes.Contains(direct.body, []byte("request body too large")) {
-		t.Fatalf("direct over-limit answer %d %s, want the 400 too-large envelope", direct.status, direct.body)
+	if direct.status != http.StatusRequestEntityTooLarge || !bytes.Contains(direct.body, []byte(`"too_large"`)) {
+		t.Fatalf("direct over-limit answer %d %s, want the 413 too-large envelope", direct.status, direct.body)
 	}
 	if proxied.status != direct.status || proxied.ctype != direct.ctype || !bytes.Equal(proxied.body, direct.body) {
 		t.Fatalf("proxied %d %q %s\ndirect %d %q %s", proxied.status, proxied.ctype, proxied.body,
 			direct.status, direct.ctype, direct.body)
+	}
+}
+
+// TestFleetOverLimitBodyFreshAndOnce: the router forwards an over-limit
+// body chunked, on a freshly dialed connection rather than a pooled one, and
+// never retries it — even on a refusal that reroutes any other request (a
+// draining 503): that refusal reaches the client as the backend sent it.
+func TestFleetOverLimitBodyFreshAndOnce(t *testing.T) {
+	type hit struct {
+		remote  string
+		chunked bool
+		size    int64
+	}
+	var mu sync.Mutex
+	hits := map[string][]hit{}
+	var addrs []string
+	for range 2 {
+		var addr string
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n, _ := io.Copy(io.Discard, r.Body)
+			mu.Lock()
+			hits[addr] = append(hits[addr], hit{r.RemoteAddr, len(r.TransferEncoding) > 0 && r.TransferEncoding[0] == "chunked", n})
+			mu.Unlock()
+			if n > 4<<20 {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				io.WriteString(w, `{"error":{"kind":"draining","message":"server is draining"}}`+"\n") //nolint:errcheck
+				return
+			}
+			io.WriteString(w, "ok\n") //nolint:errcheck
+		}))
+		t.Cleanup(srv.Close)
+		addr = strings.TrimPrefix(srv.URL, "http://")
+		addrs = append(addrs, addr)
+	}
+	router := startRouter(t, addrs)
+	// Small requests until both backends hold a pooled connection.
+	for i := 0; ; i++ {
+		mu.Lock()
+		both := len(hits[addrs[0]]) > 0 && len(hits[addrs[1]]) > 0
+		mu.Unlock()
+		if both {
+			break
+		}
+		if i == 64 {
+			t.Fatal("64 keys all routed to one backend")
+		}
+		post(t, router, "/v1/simulate", []byte(fmt.Sprintf(`{"workload":"k%d"}`, i)))
+	}
+	before := map[string]int{}
+	pooled := map[string]bool{}
+	mu.Lock()
+	for a, hs := range hits {
+		before[a] = len(hs)
+		for _, h := range hs {
+			pooled[h.remote] = true
+		}
+	}
+	mu.Unlock()
+
+	got := post(t, router, "/v1/simulate", bytes.Repeat([]byte(" "), 4<<20+1))
+	if got.status != http.StatusServiceUnavailable || !bytes.Contains(got.body, []byte(`"draining"`)) {
+		t.Fatalf("over-limit body answered %d %s by %q, want the backend's draining refusal relayed", got.status, got.body, got.backend)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var sent []hit
+	for a, hs := range hits {
+		sent = append(sent, hs[before[a]:]...)
+	}
+	if len(sent) != 1 {
+		t.Fatalf("over-limit body reached the backends %d times, want once: %+v", len(sent), sent)
+	}
+	if h := sent[0]; !h.chunked || h.size != 4<<20+1 || pooled[h.remote] {
+		t.Fatalf("over-limit body arrived %+v, want all of it chunked on a fresh connection", h)
 	}
 }
 
@@ -515,7 +589,7 @@ func TestFleetStalledOverLimitClient(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("request body too large")) {
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte(`"too_large"`)) {
 		t.Fatalf("stalled over-limit body answered %d %s, want the backend's too-large refusal", resp.StatusCode, body)
 	}
 }

@@ -356,6 +356,10 @@ type Instr struct {
 	Src2   Reg
 	Imm    int64  // immediate operand / memory offset / confirm_store index
 	Target string // branch target label, or Jsr runtime routine name
+	// TargetIndex is the position of a branch's or jump's Target block in
+	// its program, resolved when the program is laid out
+	// (prog.Program.Layout); -1 before that or when no block has the label.
+	TargetIndex int32
 
 	// Spec is the speculative modifier: set by the scheduler on every
 	// instruction moved above one or more branches (§3.2).
@@ -379,7 +383,7 @@ type Instr struct {
 }
 
 // New returns an unscheduled instruction with the given opcode.
-func New(op Op) *Instr { return &Instr{Op: op, Cycle: -1, Slot: -1, PC: -1} }
+func New(op Op) *Instr { return &Instr{Op: op, TargetIndex: -1, Cycle: -1, Slot: -1, PC: -1} }
 
 // Clone returns a deep copy of i (Instr contains no reference fields other
 // than strings, which are immutable).

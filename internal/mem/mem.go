@@ -14,15 +14,20 @@ import (
 	"sentinel/internal/ir"
 )
 
-// Fault describes a failed memory access. Faults are data, not Go errors:
-// the machine architecture decides whether a fault becomes a signalled
+// Fault describes the outcome of a memory access; the zero Fault (Kind
+// ir.ExcNone) means the access succeeded. Faults are data, not Go errors,
+// and are returned by value, so a faulting access allocates nothing: the
+// machine architecture decides whether a fault becomes a signalled
 // exception (non-speculative access) or a tagged register (speculative).
 type Fault struct {
 	Kind ir.ExcKind
 	Addr int64
 }
 
-func (f *Fault) String() string {
+// Failed reports whether the access faulted.
+func (f Fault) Failed() bool { return f.Kind != ir.ExcNone }
+
+func (f Fault) String() string {
 	return fmt.Sprintf("%v at address %#x", f.Kind, f.Addr)
 }
 
@@ -90,42 +95,42 @@ func (m *Memory) Segment(name string) *Segment {
 
 // find returns the segment holding [addr, addr+size): the first segment
 // ending after addr, scanned directly (a memory has a handful of segments).
-func (m *Memory) find(addr int64, size int) (*Segment, *Fault) {
+func (m *Memory) find(addr int64, size int) (*Segment, Fault) {
 	for _, s := range m.segs {
 		if addr < s.Base+int64(len(s.Data)) {
 			if !s.Contains(addr, size) {
 				break
 			}
 			if !s.Present {
-				return nil, &Fault{Kind: ir.ExcPageFault, Addr: addr}
+				return nil, Fault{Kind: ir.ExcPageFault, Addr: addr}
 			}
-			return s, nil
+			return s, Fault{}
 		}
 	}
-	return nil, &Fault{Kind: ir.ExcAccessViolation, Addr: addr}
+	return nil, Fault{Kind: ir.ExcAccessViolation, Addr: addr}
 }
 
 // Check performs address translation for a size-byte access at addr without
-// touching data: it returns the fault a real access would raise, or nil.
+// touching data: it returns the fault a real access would raise.
 // The store buffer uses it at insertion time (§4.1: "Address translation is
 // performed during insertion").
-func (m *Memory) Check(addr int64, size int) *Fault {
+func (m *Memory) Check(addr int64, size int) Fault {
 	_, f := m.find(addr, size)
 	return f
 }
 
 // Read reads size (1 or 8) bytes at addr, little-endian.
-func (m *Memory) Read(addr int64, size int) (uint64, *Fault) {
+func (m *Memory) Read(addr int64, size int) (uint64, Fault) {
 	s, f := m.find(addr, size)
-	if f != nil {
+	if f.Failed() {
 		return 0, f
 	}
 	off := addr - s.Base
 	switch size {
 	case 1:
-		return uint64(s.Data[off]), nil
+		return uint64(s.Data[off]), f
 	case 8:
-		return binary.LittleEndian.Uint64(s.Data[off:]), nil
+		return binary.LittleEndian.Uint64(s.Data[off:]), f
 	default:
 		panic(fmt.Sprintf("mem: unsupported access size %d", size))
 	}
@@ -133,9 +138,9 @@ func (m *Memory) Read(addr int64, size int) (uint64, *Fault) {
 
 // Write writes size (1 or 8) bytes at addr, little-endian. A plain write
 // clears any exception-tag sidecar at the address.
-func (m *Memory) Write(addr int64, size int, val uint64) *Fault {
+func (m *Memory) Write(addr int64, size int, val uint64) Fault {
 	s, f := m.find(addr, size)
-	if f != nil {
+	if f.Failed() {
 		return f
 	}
 	off := addr - s.Base
@@ -148,30 +153,28 @@ func (m *Memory) Write(addr int64, size int, val uint64) *Fault {
 		panic(fmt.Sprintf("mem: unsupported access size %d", size))
 	}
 	delete(m.tags, addr)
-	return nil
+	return f
 }
 
 // WriteTagged writes a register's data together with its exception tag
 // (SaveTR). Tag is stored in a sidecar so the memory image itself is
 // unchanged in layout.
-func (m *Memory) WriteTagged(addr int64, val uint64, tag byte) *Fault {
-	if f := m.Write(addr, 8, val); f != nil {
-		return f
-	}
-	if tag != 0 {
+func (m *Memory) WriteTagged(addr int64, val uint64, tag byte) Fault {
+	f := m.Write(addr, 8, val)
+	if !f.Failed() && tag != 0 {
 		m.tags[addr] = tag
 	}
-	return nil
+	return f
 }
 
 // ReadTagged reads a register's data together with its exception tag
 // (RestTR).
-func (m *Memory) ReadTagged(addr int64) (uint64, byte, *Fault) {
+func (m *Memory) ReadTagged(addr int64) (uint64, byte, Fault) {
 	v, f := m.Read(addr, 8)
-	if f != nil {
+	if f.Failed() {
 		return 0, 0, f
 	}
-	return v, m.tags[addr], nil
+	return v, m.tags[addr], f
 }
 
 // Checksum returns a digest of all mapped bytes (segments in base order);

@@ -10,18 +10,18 @@ import (
 func TestMapAndReadWrite(t *testing.T) {
 	m := New()
 	m.Map("data", 0x1000, 64)
-	if f := m.Write(0x1000, 8, 0xdeadbeef); f != nil {
+	if f := m.Write(0x1000, 8, 0xdeadbeef); f.Failed() {
 		t.Fatalf("write: %v", f)
 	}
 	v, f := m.Read(0x1000, 8)
-	if f != nil || v != 0xdeadbeef {
+	if f.Failed() || v != 0xdeadbeef {
 		t.Fatalf("read = %#x, %v", v, f)
 	}
-	if f := m.Write(0x1010, 1, 0xab); f != nil {
+	if f := m.Write(0x1010, 1, 0xab); f.Failed() {
 		t.Fatalf("byte write: %v", f)
 	}
 	v, f = m.Read(0x1010, 1)
-	if f != nil || v != 0xab {
+	if f.Failed() || v != 0xab {
 		t.Fatalf("byte read = %#x, %v", v, f)
 	}
 }
@@ -30,15 +30,15 @@ func TestUnmappedAccessViolation(t *testing.T) {
 	m := New()
 	m.Map("data", 0x1000, 16)
 	for _, addr := range []int64{0, 0xfff, 0x1010, 0x100000} {
-		if _, f := m.Read(addr, 8); f == nil || f.Kind != ir.ExcAccessViolation {
+		if _, f := m.Read(addr, 8); !f.Failed() || f.Kind != ir.ExcAccessViolation {
 			t.Errorf("read %#x: fault = %v, want access violation", addr, f)
 		}
-		if f := m.Write(addr, 8, 1); f == nil || f.Kind != ir.ExcAccessViolation {
+		if f := m.Write(addr, 8, 1); !f.Failed() || f.Kind != ir.ExcAccessViolation {
 			t.Errorf("write %#x: fault = %v, want access violation", addr, f)
 		}
 	}
 	// Straddling the end of a segment also faults.
-	if _, f := m.Read(0x1009, 8); f == nil {
+	if _, f := m.Read(0x1009, 8); !f.Failed() {
 		t.Error("read straddling segment end must fault")
 	}
 }
@@ -47,14 +47,14 @@ func TestPageFaultAndRepair(t *testing.T) {
 	m := New()
 	s := m.Map("heap", 0x2000, 32)
 	s.Present = false
-	if _, f := m.Read(0x2000, 8); f == nil || f.Kind != ir.ExcPageFault {
+	if _, f := m.Read(0x2000, 8); !f.Failed() || f.Kind != ir.ExcPageFault {
 		t.Fatalf("paged-out read fault = %v, want page fault", f)
 	}
-	if f := m.Write(0x2008, 8, 7); f == nil || f.Kind != ir.ExcPageFault {
+	if f := m.Write(0x2008, 8, 7); !f.Failed() || f.Kind != ir.ExcPageFault {
 		t.Fatalf("paged-out write fault = %v, want page fault", f)
 	}
 	s.Present = true // the "OS" maps the page in
-	if _, f := m.Read(0x2000, 8); f != nil {
+	if _, f := m.Read(0x2000, 8); f.Failed() {
 		t.Fatalf("after repair: %v", f)
 	}
 }
@@ -85,15 +85,15 @@ func TestSegmentLookupByName(t *testing.T) {
 func TestTaggedSpillRoundTrip(t *testing.T) {
 	m := New()
 	m.Map("stack", 0x8000, 64)
-	if f := m.WriteTagged(0x8000, 12345, 2); f != nil {
+	if f := m.WriteTagged(0x8000, 12345, 2); f.Failed() {
 		t.Fatal(f)
 	}
 	v, tag, f := m.ReadTagged(0x8000)
-	if f != nil || v != 12345 || tag != 2 {
+	if f.Failed() || v != 12345 || tag != 2 {
 		t.Fatalf("ReadTagged = %d, %d, %v", v, tag, f)
 	}
 	// A plain (non-tag-preserving) write clears the sidecar tag.
-	if f := m.Write(0x8000, 8, 999); f != nil {
+	if f := m.Write(0x8000, 8, 999); f.Failed() {
 		t.Fatal(f)
 	}
 	_, tag, _ = m.ReadTagged(0x8000)
@@ -149,11 +149,11 @@ func TestReadBackQuick(t *testing.T) {
 			width = 1
 		}
 		addr := int64(off) % (size - 8)
-		if fa := m.Write(addr, width, val); fa != nil {
+		if fa := m.Write(addr, width, val); fa.Failed() {
 			return false
 		}
 		got, fa := m.Read(addr, width)
-		if fa != nil {
+		if fa.Failed() {
 			return false
 		}
 		if width == 1 {
@@ -178,7 +178,7 @@ func TestOutOfBoundsNeverMutatesQuick(t *testing.T) {
 			a += 0x10000 // push outside
 		}
 		fw := m.Write(a, 8, val)
-		return fw != nil && m.Checksum() == sum
+		return fw.Failed() && m.Checksum() == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

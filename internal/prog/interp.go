@@ -61,52 +61,61 @@ func (x *ExcInfo) Error() string {
 // exception as the error.
 type FaultHandler func(exc ExcInfo, env *Env) bool
 
-// BranchKey identifies a conditional branch site within a program.
-type BranchKey struct {
-	Block string
-	Index int
-}
-
-// BranchStat accumulates a branch's dynamic outcomes.
-type BranchStat struct {
-	Taken    int64
-	NotTaken int64
-}
-
-// Prob returns the taken probability (0 when never executed).
-func (s *BranchStat) Prob() float64 {
-	n := s.Taken + s.NotTaken
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Taken) / float64(n)
-}
-
-// EdgeKey identifies a control-flow edge between blocks.
-type EdgeKey struct{ From, To string }
-
-// Profile holds the dynamic execution profile used by superblock formation.
+// Profile is the dynamic execution profile used by superblock formation,
+// counted by position in the laid-out program it was taken of. Edge reads
+// that program's instructions, so the profile describes the program only
+// until it changes.
 type Profile struct {
-	Blocks   map[string]int64
-	Branches map[BranchKey]*BranchStat
-	Edges    map[EdgeKey]int64
+	// Blocks[i] counts the executions of block i.
+	Blocks []int64
+	// Taken[pc] counts the times the branch or jump at pc transferred
+	// control to its target.
+	Taken []int64
+	// Fall[i] counts the times block i fell through to block i+1.
+	Fall []int64
+
+	p *Program
 }
 
-func newProfile() *Profile {
-	return &Profile{
-		Blocks:   map[string]int64{},
-		Branches: map[BranchKey]*BranchStat{},
-		Edges:    map[EdgeKey]int64{},
-	}
+// newProfile returns a zeroed profile for p, whose layout assigned npc PCs:
+// one allocation for the counters.
+func newProfile(p *Program, npc int) *Profile {
+	nb := len(p.Blocks)
+	c := make([]int64, 2*nb+npc)
+	return &Profile{Blocks: c[:nb:nb], Fall: c[nb : 2*nb : 2*nb], Taken: c[2*nb:], p: p}
 }
 
-func (p *Profile) branch(k BranchKey) *BranchStat {
-	s := p.Branches[k]
-	if s == nil {
-		s = &BranchStat{}
-		p.Branches[k] = s
+// Edge returns the times control passed from block from to block to: the
+// taken transfers of from's branches and jumps targeting to, plus its
+// fall-through when to follows it.
+func (pr *Profile) Edge(from, to int) int64 {
+	var n int64
+	for _, in := range pr.p.Blocks[from].Instrs {
+		if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && int(in.TargetIndex) == to {
+			n += pr.Taken[in.PC]
+		}
 	}
-	return s
+	if to == from+1 {
+		n += pr.Fall[from]
+	}
+	return n
+}
+
+// BlockCount is Blocks by label, for tests and tools; an unknown label
+// counts 0.
+func (pr *Profile) BlockCount(label string) int64 {
+	if i := pr.p.Index(label); i >= 0 {
+		return pr.Blocks[i]
+	}
+	return 0
+}
+
+// EdgeCount is Edge by label.
+func (pr *Profile) EdgeCount(from, to string) int64 {
+	if i, j := pr.p.Index(from), pr.p.Index(to); i >= 0 && j >= 0 {
+		return pr.Edge(i, j)
+	}
+	return 0
 }
 
 // Options configures a reference run.
@@ -140,27 +149,34 @@ func RuntimeKnown(name string) bool { _, ok := runtimeFns[name]; return ok }
 
 // Run executes p sequentially on the given memory (mutated in place) and
 // returns the architectural result. The program must have been laid out
-// (Layout) and validated.
+// (Layout) and validated: Run follows the resolved block positions and
+// counts the profile, when collected, into arrays.
 func Run(p *Program, m *mem.Memory, opts Options) (*Result, error) {
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 100_000_000
 	}
 	env := &Env{Mem: m}
 	res := &Result{Env: env}
+	var prof *Profile
 	if opts.Collect {
-		res.Profile = newProfile()
+		npc := 0
+		for _, b := range p.Blocks {
+			npc += len(b.Instrs)
+		}
+		prof = newProfile(p, npc)
+		res.Profile = prof
 	}
 
-	bi := p.BlockIndex(p.Entry)
+	bi := p.Index(p.Entry)
 	if bi < 0 {
 		return nil, fmt.Errorf("prog: entry %q not found", p.Entry)
 	}
 	for bi >= 0 {
 		b := p.Blocks[bi]
-		if res.Profile != nil {
-			res.Profile.Blocks[b.Label]++
+		if prof != nil {
+			prof.Blocks[bi]++
 		}
-		next, halted, err := runBlock(p, b, bi, env, res, &opts)
+		next, halted, err := runBlock(b, bi, len(p.Blocks), env, res, prof, &opts)
 		if err != nil {
 			return res, err
 		}
@@ -177,14 +193,9 @@ func Run(p *Program, m *mem.Memory, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runBlock executes one block and returns the index of the next block, or
-// halted=true.
-func runBlock(p *Program, b *Block, bi int, env *Env, res *Result, opts *Options) (int, bool, error) {
-	edge := func(to string) {
-		if res.Profile != nil {
-			res.Profile.Edges[EdgeKey{b.Label, to}]++
-		}
-	}
+// runBlock executes block bi of a program of nb blocks and returns the
+// index of the next block, or halted=true.
+func runBlock(b *Block, bi, nb int, env *Env, res *Result, prof *Profile, opts *Options) (int, bool, error) {
 	for i := 0; i < len(b.Instrs); i++ {
 		in := b.Instrs[i]
 		res.Instrs++
@@ -203,26 +214,15 @@ func runBlock(p *Program, b *Block, bi int, env *Env, res *Result, opts *Options
 		switch {
 		case in.Op == ir.Halt:
 			return 0, true, nil
-		case in.Op == ir.Jmp:
-			edge(in.Target)
-			return p.BlockIndex(in.Target), false, nil
-		case ir.IsBranch(in.Op):
-			if res.Profile != nil {
-				s := res.Profile.branch(BranchKey{b.Label, i})
-				if taken {
-					s.Taken++
-				} else {
-					s.NotTaken++
-				}
+		case in.Op == ir.Jmp || taken:
+			if prof != nil {
+				prof.Taken[in.PC]++
 			}
-			if taken {
-				edge(in.Target)
-				return p.BlockIndex(in.Target), false, nil
-			}
+			return int(in.TargetIndex), false, nil
 		}
 	}
-	if bi+1 < len(p.Blocks) {
-		edge(p.Blocks[bi+1].Label)
+	if prof != nil && bi+1 < nb {
+		prof.Fall[bi]++
 	}
 	return bi + 1, false, nil
 }
@@ -262,32 +262,32 @@ func step(in *ir.Instr, env *Env) (taken bool, exc ir.ExcKind) {
 		env.Set(in.Dest, v)
 	case ir.Ld, ir.Ldb:
 		v, f := env.Mem.Read(env.Int[in.Src1.N]+in.Imm, ir.MemSize(in.Op))
-		if f != nil {
+		if f.Failed() {
 			return false, f.Kind
 		}
 		env.Set(in.Dest, int64(v))
 	case ir.Fld:
 		v, f := env.Mem.Read(env.Int[in.Src1.N]+in.Imm, 8)
-		if f != nil {
+		if f.Failed() {
 			return false, f.Kind
 		}
 		env.SetFP(in.Dest, math.Float64frombits(v))
 	case ir.St, ir.Stb:
-		if f := env.Mem.Write(env.Int[in.Src1.N]+in.Imm, ir.MemSize(in.Op), uint64(env.Int[in.Src2.N])); f != nil {
+		if f := env.Mem.Write(env.Int[in.Src1.N]+in.Imm, ir.MemSize(in.Op), uint64(env.Int[in.Src2.N])); f.Failed() {
 			return false, f.Kind
 		}
 	case ir.Fst:
-		if f := env.Mem.Write(env.Int[in.Src1.N]+in.Imm, 8, math.Float64bits(env.FP[in.Src2.N])); f != nil {
+		if f := env.Mem.Write(env.Int[in.Src1.N]+in.Imm, 8, math.Float64bits(env.FP[in.Src2.N])); f.Failed() {
 			return false, f.Kind
 		}
 	case ir.SaveTR:
 		// The reference machine has no tags; SaveTR degenerates to a store.
-		if f := env.Mem.WriteTagged(env.Int[in.Src1.N]+in.Imm, uint64(env.Get(in.Src2)), 0); f != nil {
+		if f := env.Mem.WriteTagged(env.Int[in.Src1.N]+in.Imm, uint64(env.Get(in.Src2)), 0); f.Failed() {
 			return false, f.Kind
 		}
 	case ir.RestTR:
 		v, _, f := env.Mem.ReadTagged(env.Int[in.Src1.N] + in.Imm)
-		if f != nil {
+		if f.Failed() {
 			return false, f.Kind
 		}
 		env.Set(in.Dest, int64(v))

@@ -42,78 +42,74 @@ func (b *Block) Clone() *Block {
 	return nb
 }
 
-// Branches returns the indices of control instructions in the block.
-func (b *Block) Branches() []int {
-	var out []int
-	for i, in := range b.Instrs {
-		if ir.IsControl(in.Op) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Program is an ordered list of blocks; execution starts at Entry (the first
 // block when empty).
 //
+// Control flow is addressed by block position: Layout resolves every
+// branch and jump target to its block's index (ir.Instr.TargetIndex), and a
+// block that does not end in a jump or halt falls through to the next
+// position. Labels stay for text, errors and the label lookups of tests
+// and tools.
+//
 // Concurrency: a Program is not safe for concurrent mutation, but once fully
-// constructed (and laid out, if PCs are needed) every read-only method —
-// Block, BlockIndex, InstrAt, AppendSuccessors, Clone, String, Validate —
-// may be called from multiple goroutines simultaneously. The evaluation
-// runner shares built and formed programs across workers on this guarantee;
+// constructed and laid out every read-only method — Block, Index, InstrAt,
+// AppendSuccessors, Clone, String, Validate — and every analysis reading it
+// (Run, dataflow.Compute, superblock.Form) may run from multiple goroutines
+// simultaneously: readers never write to a Program. The evaluation runner
+// shares built and formed programs across workers on this guarantee;
 // mutating consumers (the scheduler, formation) clone first, except on a
 // program its owner hands over (core.ScheduleOwned, superblock.FormOwned).
 type Program struct {
 	Blocks []*Block
 	Entry  string
 
-	byLabel map[string]*Block
+	byLabel map[string]int32
 }
 
 // New returns an empty program.
-func NewProgram() *Program { return &Program{byLabel: map[string]*Block{}} }
+func NewProgram() *Program { return &Program{byLabel: map[string]int32{}} }
 
 // AddBlock appends a new block with the given label and instructions.
 func (p *Program) AddBlock(label string, instrs ...*ir.Instr) *Block {
 	if p.byLabel == nil {
-		p.byLabel = map[string]*Block{}
+		p.Reindex()
 	}
 	if _, dup := p.byLabel[label]; dup {
 		panic(fmt.Sprintf("prog: duplicate block label %q", label))
 	}
 	b := &Block{Label: label, Instrs: instrs}
+	p.byLabel[label] = int32(len(p.Blocks))
 	p.Blocks = append(p.Blocks, b)
-	p.byLabel[label] = b
 	if p.Entry == "" {
 		p.Entry = label
 	}
 	return b
 }
 
-// Block returns the block with the given label, or nil. When the label
-// index has not been built (a Program assembled by hand rather than through
-// NewProgram/AddBlock/Reindex), it falls back to a linear scan instead of
-// building the index, so Block never writes and stays safe for concurrent
-// readers.
+// Block returns the block with the given label, or nil.
 func (p *Program) Block(label string) *Block {
-	if p.byLabel == nil {
-		for _, b := range p.Blocks {
-			if b.Label == label {
-				return b
-			}
-		}
-		return nil
+	if i := p.Index(label); i >= 0 {
+		return p.Blocks[i]
 	}
-	return p.byLabel[label]
+	return nil
 }
 
-// BlockIndex returns the position of the labelled block in program order,
-// or -1.
-func (p *Program) BlockIndex(label string) int {
-	for i, b := range p.Blocks {
-		if b.Label == label {
-			return i
+// Index returns the position of the labelled block in program order, or
+// -1. When the label index has not been built (a Program assembled by hand
+// rather than through NewProgram/AddBlock/Reindex), it falls back to a
+// linear scan instead of building the index, so Index never writes and
+// stays safe for concurrent readers.
+func (p *Program) Index(label string) int {
+	if p.byLabel == nil {
+		for i, b := range p.Blocks {
+			if b.Label == label {
+				return i
+			}
 		}
+		return -1
+	}
+	if i, ok := p.byLabel[label]; ok {
+		return int(i)
 	}
 	return -1
 }
@@ -121,36 +117,44 @@ func (p *Program) BlockIndex(label string) int {
 // Reindex rebuilds the label index after direct manipulation of Blocks
 // (e.g. by superblock formation). It panics on duplicate labels.
 func (p *Program) Reindex() {
-	p.byLabel = make(map[string]*Block, len(p.Blocks))
-	for _, b := range p.Blocks {
+	p.byLabel = make(map[string]int32, len(p.Blocks))
+	for i, b := range p.Blocks {
 		if _, dup := p.byLabel[b.Label]; dup {
 			panic(fmt.Sprintf("prog: duplicate block label %q", b.Label))
 		}
-		p.byLabel[b.Label] = b
+		p.byLabel[b.Label] = int32(i)
 	}
 }
 
-// Clone deep-copies the program.
+// Clone deep-copies the program, laid out as p was.
 func (p *Program) Clone() *Program {
-	np := NewProgram()
-	np.Entry = p.Entry
-	for _, b := range p.Blocks {
-		nb := b.Clone()
-		np.Blocks = append(np.Blocks, nb)
-		np.byLabel[nb.Label] = nb
+	np := &Program{Entry: p.Entry, Blocks: make([]*Block, len(p.Blocks)),
+		byLabel: make(map[string]int32, len(p.Blocks))}
+	for i, b := range p.Blocks {
+		np.Blocks[i] = b.Clone()
+		np.byLabel[b.Label] = int32(i)
 	}
 	return np
 }
 
 // Layout assigns a unique PC to every instruction (sequential across blocks
-// in program order) and returns the total instruction count. The simulator
-// reports exception PCs in this numbering.
+// in program order), resolves every branch and jump target to its block's
+// position, and returns the total instruction count. The simulator reports
+// exception PCs in this numbering. Every reader of the control flow relies
+// on the resolved targets, so Layout must follow any edit of the blocks or
+// of a target (after Reindex, when Blocks was edited directly).
 func (p *Program) Layout() int {
+	if p.byLabel == nil {
+		p.Reindex()
+	}
 	pc := 0
 	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			in.PC = pc
 			pc++
+			if ir.IsBranch(in.Op) || in.Op == ir.Jmp {
+				in.TargetIndex = int32(p.Index(in.Target))
+			}
 		}
 	}
 	return pc
@@ -169,45 +173,36 @@ func (p *Program) InstrAt(pc int) (*ir.Instr, *Block, int) {
 	return nil, nil, -1
 }
 
-// AppendSuccessors appends the labels a block can transfer control to —
-// every branch/jump target plus fall-through to the next block (unless the
-// block ends in an unconditional transfer or halt), each once — to dst and
-// returns the extended slice. With a dst of enough capacity it does not
-// allocate.
-func (p *Program) AppendSuccessors(dst []string, b *Block) []string {
-	start := len(dst)
-	fallsThrough := true
-	for i, in := range b.Instrs {
-		switch {
-		case ir.IsBranch(in.Op):
-			dst = appendNew(dst, start, in.Target)
-		case in.Op == ir.Jmp:
-			dst = appendNew(dst, start, in.Target)
-			if i == len(b.Instrs)-1 {
-				fallsThrough = false
-			}
-		case in.Op == ir.Halt:
-			if i == len(b.Instrs)-1 {
-				fallsThrough = false
-			}
+// FallsThrough reports whether control can leave block i at its end for
+// block i+1: it has a next block and does not end in a jump or halt.
+func (p *Program) FallsThrough(i int) bool {
+	if i+1 >= len(p.Blocks) {
+		return false
+	}
+	b := p.Blocks[i]
+	if n := len(b.Instrs); n > 0 {
+		if op := b.Instrs[n-1].Op; op == ir.Jmp || op == ir.Halt {
+			return false
 		}
 	}
-	if fallsThrough {
-		if idx := p.BlockIndex(b.Label); idx >= 0 && idx+1 < len(p.Blocks) {
-			dst = appendNew(dst, start, p.Blocks[idx+1].Label)
-		}
-	}
-	return dst
+	return true
 }
 
-// appendNew appends l to dst unless dst[start:] already holds it.
-func appendNew(dst []string, start int, l string) []string {
-	for _, s := range dst[start:] {
-		if s == l {
-			return dst
+// AppendSuccessors appends the positions of the blocks block i can
+// transfer control to — every resolved branch/jump target in instruction
+// order, then the fall-through — to dst and returns the extended slice. A
+// block reached two ways appears twice. With a dst of enough capacity it
+// does not allocate.
+func (p *Program) AppendSuccessors(dst []int32, i int) []int32 {
+	for _, in := range p.Blocks[i].Instrs {
+		if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && in.TargetIndex >= 0 {
+			dst = append(dst, in.TargetIndex)
 		}
 	}
-	return append(dst, l)
+	if p.FallsThrough(i) {
+		dst = append(dst, int32(i+1))
+	}
+	return dst
 }
 
 // Validate checks structural well-formedness: a nonempty entry block, all

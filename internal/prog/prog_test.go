@@ -62,28 +62,21 @@ func TestRunSumLoop(t *testing.T) {
 	if len(res.Out) != 1 || res.Out[0] != 26 {
 		t.Fatalf("Out = %v, want [26]", res.Out)
 	}
-	if res.Profile.Blocks["loop"] != 5 || res.Profile.Blocks["body"] != 4 {
-		t.Errorf("block counts: %v", res.Profile.Blocks)
+	prof := res.Profile
+	if prof.BlockCount("loop") != 5 || prof.BlockCount("body") != 4 {
+		t.Errorf("block counts: %v", prof.Blocks)
 	}
-	bs := res.Profile.Branches[BranchKey{"loop", 0}]
-	if bs == nil || bs.Taken != 1 || bs.NotTaken != 4 {
-		t.Errorf("branch stats: %+v", bs)
+	// The loop branch is taken once and falls through four times.
+	if taken, fall := prof.Taken[p.Block("loop").Instrs[0].PC], prof.Fall[1]; taken != 1 || fall != 4 {
+		t.Errorf("loop branch taken %d, fell through %d; want 1 and 4", taken, fall)
 	}
-	if got := res.Profile.Edges[EdgeKey{"body", "loop"}]; got != 4 {
-		t.Errorf("edge body->loop = %d, want 4", got)
-	}
-	if got := res.Profile.Edges[EdgeKey{"loop", "done"}]; got != 1 {
-		t.Errorf("edge loop->done = %d, want 1", got)
-	}
-}
-
-func TestBranchProb(t *testing.T) {
-	s := &BranchStat{Taken: 3, NotTaken: 1}
-	if s.Prob() != 0.75 {
-		t.Errorf("Prob = %v", s.Prob())
-	}
-	if (&BranchStat{}).Prob() != 0 {
-		t.Error("empty stat must have probability 0")
+	for _, e := range []struct {
+		from, to string
+		want     int64
+	}{{"entry", "loop", 1}, {"body", "loop", 4}, {"loop", "done", 1}, {"loop", "body", 4}, {"done", "loop", 0}} {
+		if got := prof.EdgeCount(e.from, e.to); got != e.want {
+			t.Errorf("edge %s->%s = %d, want %d", e.from, e.to, got, e.want)
+		}
 	}
 }
 
@@ -104,22 +97,24 @@ func TestLayoutAndInstrAt(t *testing.T) {
 
 func TestSuccessors(t *testing.T) {
 	p := sumProgram(0x1000, 1)
-	succ := func(label string) []string { return p.AppendSuccessors(nil, p.Block(label)) }
-	if s := succ("entry"); len(s) != 1 || s[0] != "loop" {
+	p.Layout()
+	// Blocks: entry 0, loop 1, body 2, done 3.
+	succ := func(label string) []int32 { return p.AppendSuccessors(nil, p.Index(label)) }
+	if s := succ("entry"); len(s) != 1 || s[0] != 1 {
 		t.Errorf("entry succ = %v", s)
 	}
-	if s := succ("loop"); len(s) != 2 || s[0] != "done" || s[1] != "body" {
+	if s := succ("loop"); len(s) != 2 || s[0] != 3 || s[1] != 2 {
 		t.Errorf("loop succ = %v", s)
 	}
-	if s := succ("body"); len(s) != 1 || s[0] != "loop" {
+	if s := succ("body"); len(s) != 1 || s[0] != 1 {
 		t.Errorf("body succ = %v (jmp must suppress fallthrough)", s)
 	}
 	if s := succ("done"); len(s) != 0 {
 		t.Errorf("done succ = %v (halt has no successors)", s)
 	}
-	// Appending keeps dst and dedupes only what it appends.
-	if s := p.AppendSuccessors([]string{"loop"}, p.Block("body")); len(s) != 2 || s[0] != "loop" || s[1] != "loop" {
-		t.Errorf("append to [loop] = %v, want [loop loop]", s)
+	// Appending keeps dst.
+	if s := p.AppendSuccessors([]int32{1}, 2); len(s) != 2 || s[0] != 1 || s[1] != 1 {
+		t.Errorf("append to [1] = %v, want [1 1]", s)
 	}
 }
 

@@ -105,8 +105,11 @@ type SimulateResponse struct {
 }
 
 // Error kinds, the machine-readable half of every error response.
+// KindTooLarge is a body over MaxBodyBytes (413); KindBadRequest any other
+// body, query or machine the request cannot be decoded or resolved from.
 const (
 	KindBadRequest        = "bad_request"
+	KindTooLarge          = "too_large"
 	KindUnknownWorkload   = "unknown_workload"
 	KindUnknownSegment    = "unknown_segment"
 	KindAssemblyError     = "assembly_error"

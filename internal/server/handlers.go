@@ -78,7 +78,11 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req any) 
 	if s.decodeTime != nil {
 		s.decodeTime.Observe(time.Since(t0).Nanoseconds())
 	}
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return apiErrorf(http.StatusRequestEntityTooLarge, KindTooLarge, "invalid request body: %v", err)
+	case err != nil:
 		return apiErrorf(http.StatusBadRequest, KindBadRequest, "invalid request body: %v", err)
 	}
 	return nil

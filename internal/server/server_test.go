@@ -279,6 +279,26 @@ func TestBadModel400(t *testing.T) {
 	}
 }
 
+// TestOverLimitBody413: a body one byte over MaxBodyBytes is refused with
+// 413 and its own envelope kind on every decoding endpoint; a body at the
+// limit is decoded (and refused as malformed JSON, 400).
+func TestOverLimitBody413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, path := range []string{"/v1/simulate", "/v1/schedule", "/v1/batch"} {
+		resp, body := postRawURL(t, ts.URL+path, strings.Repeat(" ", MaxBodyBytes+1))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413: %s", path, resp.StatusCode, body)
+		}
+		if ae := decodeError(t, body); ae.Kind != KindTooLarge {
+			t.Errorf("%s: kind = %q, want %q", path, ae.Kind, KindTooLarge)
+		}
+		resp, body = postRawURL(t, ts.URL+path, strings.Repeat(" ", MaxBodyBytes))
+		if ae := decodeError(t, body); resp.StatusCode != http.StatusBadRequest || ae.Kind != KindBadRequest {
+			t.Errorf("%s: a body at the limit answered %d %q, want 400 %q", path, resp.StatusCode, ae.Kind, KindBadRequest)
+		}
+	}
+}
+
 // TestFiguresByteIdentical pins the serving guarantee: a served figure
 // section must be byte-identical to what the paperfigs pipeline renders for
 // the same inputs, including across repeated (cache-served) requests.

@@ -100,8 +100,8 @@ func allocsPerRun(t *testing.T, sched *prog.Program, m *mem.Memory, md machine.D
 
 // TestRunAllocs bounds Run's steady-state allocations with a prebuilt
 // index: the machine, its store buffer, the output vector, the result, the
-// per-run execution counts and the memory clone, plus one fault record per
-// faulting speculative load — none per issued instruction.
+// per-run execution counts and the memory clone — none per issued
+// instruction.
 func TestRunAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short mode")
@@ -115,6 +115,29 @@ func TestRunAllocs(t *testing.T) {
 		if got := allocsPerRun(t, sched, m, md, Options{Index: NewProgIndex(sched)}); got > c.bound {
 			t.Errorf("%s: Run allocates %.1f/op, want at most %.0f", c.name, got, c.bound)
 		}
+	}
+}
+
+// TestFaultingAccessAllocs pins that a faulting memory access allocates
+// nothing: nasa7 under sentinel+stores takes faulting speculative loads on
+// every run, which cost one heap-allocated fault record each (28 allocations
+// per Run) while faults were returned by pointer.
+func TestFaultingAccessAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	md := machine.Base(8, machine.SentinelStores)
+	sched, m := schedFor(t, "nasa7", md)
+	opts := Options{Index: NewProgIndex(sched)}
+	res, err := Run(sched, md, m.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TagSets == 0 {
+		t.Fatal("no speculative access faulted: the measurement is vacuous")
+	}
+	if got := allocsPerRun(t, sched, m, md, opts); got > 19 {
+		t.Errorf("faulting nasa7 Run allocates %.1f/op, want at most 19", got)
 	}
 }
 

@@ -160,7 +160,7 @@ func (m *Machine) execBoostedStore(in *ir.Instr, op *opRec, imm, t int64) (event
 	size := ir.MemSize(op.op)
 	data := uint64(m.rdRawAt(lvl, op.src2))
 	e := Entry{Addr: addr, Size: size, Data: data, Level: lvl}
-	if fault := m.Mem.Check(addr, size); fault != nil {
+	if fault := m.Mem.Check(addr, size); fault.Failed() {
 		e.ExcSet, e.ExcKind, e.ExcPC = true, fault.Kind, int64(in.PC)
 		m.stats.TagSets++
 		if m.trace != nil {

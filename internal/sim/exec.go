@@ -119,7 +119,7 @@ func (m *Machine) exec(in *ir.Instr, op *opRec, imm, t int64) (event, error) {
 		if tg := m.Tags[op.src2]; tg.Set {
 			tagByte = byte(tg.Kind)
 		}
-		if f := m.Mem.WriteTagged(addr, uint64(m.rawAt(op.src2)), tagByte); f != nil {
+		if f := m.Mem.WriteTagged(addr, uint64(m.rawAt(op.src2)), tagByte); f.Failed() {
 			return signal(int64(in.PC), f.Kind), nil
 		}
 		return event{}, nil
@@ -128,7 +128,7 @@ func (m *Machine) exec(in *ir.Instr, op *opRec, imm, t int64) (event, error) {
 		m.buf.flushConfirmed(m.Mem)
 		addr := m.intAt(op.src1) + imm
 		v, tagByte, f := m.Mem.ReadTagged(addr)
-		if f != nil {
+		if f.Failed() {
 			return signal(int64(in.PC), f.Kind), nil
 		}
 		m.setRawAt(op.dest, int64(v))
@@ -224,7 +224,7 @@ func (m *Machine) execStore(in *ir.Instr, op *opRec, imm, t int64, usesTags bool
 			// Table 2 rows 010/011: the store is the sentinel.
 			return signal(m.rawAt(srcTag), m.Tags[srcTag].Kind), nil
 		}
-		if fault != nil {
+		if fault.Failed() {
 			// Table 2 row 001: force confirmed head entries to update the
 			// cache, then process the exception precisely.
 			m.buf.flushConfirmed(m.Mem)
@@ -252,7 +252,7 @@ func (m *Machine) execStore(in *ir.Instr, op *opRec, imm, t int64, usesTags bool
 		if m.trace != nil {
 			m.trace.FlowStep(e.ExcPC, traceSlot(in), t)
 		}
-	case fault != nil:
+	case fault.Failed():
 		// Table 2 row 101: record the store's own exception.
 		e.ExcSet, e.ExcKind, e.ExcPC = true, fault.Kind, int64(in.PC)
 		m.stats.TagSets++
@@ -309,10 +309,7 @@ func (m *Machine) compute(op *opRec, a, b, imm int64) (int64, ir.ExcKind) {
 		return ir.IntDivOp(op.op, a, src2)
 	case ir.Ld, ir.Ldb, ir.Fld:
 		v, flt := m.buf.loadOverlay(a+imm, ir.MemSize(op.op), m.Mem)
-		if flt != nil {
-			return 0, flt.Kind
-		}
-		return int64(v), ir.ExcNone
+		return int64(v), flt.Kind
 	case ir.Fadd, ir.Fsub, ir.Fmul, ir.Fdiv:
 		v, exc := ir.FPOp(op.op, fp(a), fp(b))
 		return int64(math.Float64bits(v)), exc

@@ -114,8 +114,6 @@ func decodeOp(in *ir.Instr) opRec {
 type ProgIndex struct {
 	p *prog.Program
 
-	byLabel map[string]int32
-
 	ops   []opRec
 	opsAt []int32
 
@@ -151,13 +149,7 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 	for _, b := range p.Blocks {
 		n += len(b.Instrs)
 	}
-	ix := &ProgIndex{p: p, byLabel: make(map[string]int32, len(p.Blocks)),
-		ops: make([]opRec, 0, n), opsAt: make([]int32, 0, len(p.Blocks)+1)}
-	for bi, b := range p.Blocks {
-		if _, dup := ix.byLabel[b.Label]; !dup {
-			ix.byLabel[b.Label] = int32(bi)
-		}
-	}
+	ix := &ProgIndex{p: p, ops: make([]opRec, 0, n), opsAt: make([]int32, 0, len(p.Blocks)+1)}
 	k, branches := 0, 0
 	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
@@ -181,9 +173,7 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 			op := decodeOp(in)
 			tb := int32(-1)
 			if in.Target != "" {
-				if t, ok := ix.byLabel[in.Target]; ok {
-					tb = t
-				}
+				tb = int32(p.Index(in.Target))
 			}
 			switch {
 			case ir.IsBranch(in.Op):
@@ -200,15 +190,6 @@ func NewProgIndex(p *prog.Program) *ProgIndex {
 	}
 	ix.opsAt = append(ix.opsAt, int32(len(ix.ops)))
 	return ix
-}
-
-// blockByLabel returns the index of the block labelled label, or -1
-// (matching prog.BlockIndex).
-func (ix *ProgIndex) blockByLabel(label string) int {
-	if bi, ok := ix.byLabel[label]; ok {
-		return int(bi)
-	}
-	return -1
 }
 
 // lookup returns the position of pc, for recovery restarts.

@@ -306,7 +306,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 	}
 
 	now := int64(0)
-	bi := idx.blockByLabel(p.Entry)
+	bi := p.Index(p.Entry)
 	start := 0 // instruction index to start at within the block (recovery)
 	for bi >= 0 && bi < len(p.Blocks) {
 		b := p.Blocks[bi]
@@ -388,7 +388,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 					v = m.intAt(op.src1)
 				case ir.Ld, ir.Ldb, ir.Fld:
 					raw, f := m.buf.loadOverlay(m.rawAt(op.src1)+imm, ir.MemSize(op.op), m.Mem)
-					if v = int64(raw); f != nil {
+					if v = int64(raw); f.Failed() {
 						exc = f.Kind
 					}
 				default:
@@ -489,7 +489,7 @@ func Run(p *prog.Program, md machine.Desc, memory *mem.Memory, opts Options) (*R
 				m.stats.RedirectCycles += penalty
 				redirect = int(target)
 				if target < 0 {
-					redirect = idx.blockByLabel(b.Instrs[i].Target)
+					redirect = p.Index(b.Instrs[i].Target)
 				}
 				now = t + 1 + penalty
 				if pred != nil {

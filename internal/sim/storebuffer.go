@@ -102,7 +102,7 @@ func (sb *storeBuffer) drainTo(t int64, m *mem.Memory) {
 		if at > t {
 			return
 		}
-		if f := m.Write(h.Addr, h.Size, h.Data); f != nil {
+		if f := m.Write(h.Addr, h.Size, h.Data); f.Failed() {
 			// Address translation succeeded at insertion; a fault here means
 			// the memory map changed under a buffered store.
 			panic(fmt.Sprintf("sim: store buffer release faulted: %v", f))
@@ -118,7 +118,7 @@ func (sb *storeBuffer) drainTo(t int64, m *mem.Memory) {
 func (sb *storeBuffer) flushConfirmed(m *mem.Memory) {
 	for sb.count > 0 && sb.at(0).Confirmed {
 		h := sb.at(0)
-		if f := m.Write(h.Addr, h.Size, h.Data); f != nil {
+		if f := m.Write(h.Addr, h.Size, h.Data); f.Failed() {
 			panic(fmt.Sprintf("sim: store buffer release faulted: %v", f))
 		}
 		sb.popHead()
@@ -158,9 +158,9 @@ func (sb *storeBuffer) insert(t int64, e Entry, m *mem.Memory) (int64, error) {
 // re-execution of the load and the excepting store. A load that no
 // forwardable entry overlaps (the common case) returns the memory value as
 // read.
-func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64, *mem.Fault) {
+func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64, mem.Fault) {
 	v, f := m.Read(addr, size)
-	if f != nil {
+	if f.Failed() {
 		return 0, f
 	}
 	end := addr + int64(size)
@@ -172,7 +172,7 @@ func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64,
 		}
 	}
 	if first == sb.count {
-		return v, nil
+		return v, f
 	}
 	var bytes [8]byte
 	for i := 0; i < size; i++ {
@@ -193,7 +193,7 @@ func (sb *storeBuffer) loadOverlay(addr int64, size int, m *mem.Memory) (uint64,
 	for i := 0; i < size; i++ {
 		out |= uint64(bytes[i]) << (8 * i)
 	}
-	return out, nil
+	return out, f
 }
 
 // confirm handles confirm_store(index): the probationary entry index entries
@@ -267,7 +267,7 @@ func (sb *storeBuffer) drainAll(t int64, m *mem.Memory) int64 {
 		if h.insertedAt+1 > at {
 			at = h.insertedAt + 1
 		}
-		if f := m.Write(h.Addr, h.Size, h.Data); f != nil {
+		if f := m.Write(h.Addr, h.Size, h.Data); f.Failed() {
 			panic(fmt.Sprintf("sim: store buffer release faulted: %v", f))
 		}
 		sb.lastDrain = at

@@ -131,7 +131,7 @@ func TestLoadOverlayPartial(t *testing.T) {
 	// Byte store into the middle of the word.
 	sb.insert(0, Entry{Addr: 0x13, Size: 1, Data: 0xAB, Confirmed: true}, m)
 	v, f := sb.loadOverlay(0x10, 8, m)
-	if f != nil {
+	if f.Failed() {
 		t.Fatal(f)
 	}
 	want := uint64(0x11111111AB111111)
@@ -171,7 +171,7 @@ func TestBufferCoherenceQuick(t *testing.T) {
 		sb.drainAll(tick, m)
 		for a, v := range shadow {
 			got, fa := m.Read(a, 8)
-			if fa != nil || got != v {
+			if fa.Failed() || got != v {
 				return false
 			}
 		}

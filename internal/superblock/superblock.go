@@ -61,104 +61,89 @@ func (o Options) WithDefaults() Options {
 }
 
 // Form returns a new program in which hot traces of p have been merged into
-// superblocks. p is not modified. The profile must come from a run of p.
-// Form only reads p and prof, so concurrent formations may share both.
+// superblocks. p is not modified. p must be laid out and the profile must
+// come from a run of p. Form only reads p and prof, so concurrent
+// formations may share both.
 func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	return FormOwned(p.Clone(), prof, opts)
 }
 
 // FormOwned is Form for a program the caller owns and gives up: p itself
 // is rewritten, without Form's copy, and its blocks and instructions end
-// up in the result. Nothing else may hold p.
+// up in the result. Nothing else may hold p. The result is laid out.
 func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	opts = opts.WithDefaults()
 
 	traces := selectTraces(p, prof, opts)
-
-	inTrace := map[string]string{} // block label -> trace head label
-	lastOf := map[string]string{}  // trace head -> last trace block
-	for _, tr := range traces {
-		for _, l := range tr {
-			inTrace[l] = tr[0]
-		}
-		lastOf[tr[0]] = tr[len(tr)-1]
+	n := len(p.Blocks)
+	// Per block of p: its trace's head (-1 outside every trace); a head's
+	// superblock and last trace block; any other trace block's duplicate,
+	// to which references entering the middle of its trace are redirected.
+	head, last := make([]int32, n), make([]int32, n)
+	for i := range head {
+		head[i] = -1
 	}
-
-	// Duplicate every non-head trace block once; references entering the
-	// middle of a trace are redirected to the duplicates.
-	dupLabel := map[string]string{}
-	var dups []*prog.Block
+	merged, dup := make([]*prog.Block, n), make([]*prog.Block, n)
+	var dupOf []int32
 	for _, tr := range traces {
-		for _, l := range tr[1:] {
-			d := p.Block(l).Clone()
-			d.Label = l + ".dup"
-			dupLabel[l] = d.Label
-			dups = append(dups, d)
+		merged[tr[0]], last[tr[0]] = mergeTrace(p, prof, tr), tr[len(tr)-1]
+		for _, i := range tr {
+			head[i] = tr[0]
+		}
+		for _, i := range tr[1:] {
+			dup[i] = p.Blocks[i].Clone()
+			dup[i].Label += ".dup"
+			dupOf = append(dupOf, i)
 		}
 	}
-
-	// Build the merged superblocks.
-	merged := map[string]*prog.Block{}
-	for _, tr := range traces {
-		merged[tr[0]] = mergeTrace(p, prof, tr)
+	// fallthroughTo is the label p's block i reaches when it does not
+	// transfer control, mapped through duplication, or "".
+	fallthroughTo := func(i int32) string {
+		if !p.FallsThrough(int(i)) {
+			return ""
+		}
+		if d := dup[i+1]; d != nil {
+			return d.Label
+		}
+		return p.Blocks[i+1].Label
 	}
 
 	// Assemble the new program: original order with trace members replaced
 	// by their superblock at the head position; duplicates appended. The
 	// duplicate of each trace is a contiguous chain in original trace order,
-	// so intra-trace fall-throughs keep working.
+	// so intra-trace fall-throughs keep working. want[k] is the label block
+	// k must reach when it does not transfer control: its original
+	// fall-through, a superblock's that of its last trace block.
 	np := prog.NewProgram()
 	np.Entry = p.Entry
-	for _, b := range p.Blocks {
-		head, isTrace := inTrace[b.Label]
-		switch {
-		case !isTrace:
+	var want []string
+	for i, b := range p.Blocks {
+		switch h := head[i]; {
+		case h < 0:
 			np.Blocks = append(np.Blocks, b)
-		case head == b.Label:
-			np.Blocks = append(np.Blocks, merged[b.Label])
+			want = append(want, fallthroughTo(int32(i)))
+		case int(h) == i:
+			np.Blocks = append(np.Blocks, merged[i])
+			want = append(want, fallthroughTo(last[i]))
 		}
 	}
-	np.Blocks = append(np.Blocks, dups...)
+	for _, i := range dupOf {
+		np.Blocks = append(np.Blocks, dup[i])
+		want = append(want, fallthroughTo(i))
+	}
 	np.Reindex()
 
 	// Redirect every remaining reference to a duplicated (mid-trace) block
 	// to its duplicate: side exits of superblocks, other blocks, and the
 	// duplicates themselves. A reference to a trace HEAD keeps targeting the
-	// superblock (control enters from the top, which is legal).
+	// superblock (control enters from the top, which is legal). Targets are
+	// still resolved against p here.
 	for _, b := range np.Blocks {
 		for _, in := range b.Instrs {
-			if d, ok := dupLabel[in.Target]; ok && (ir.IsBranch(in.Op) || in.Op == ir.Jmp) {
-				in.Target = d
+			if t := in.TargetIndex; t >= 0 && dup[t] != nil && (ir.IsBranch(in.Op) || in.Op == ir.Jmp) {
+				in.Target = dup[t].Label
 			}
 		}
-	}
-
-	// The intended fall-through of each superblock is the original
-	// fall-through of its last trace block (mapped through duplication).
-	ftWant := map[string]string{}
-	for head, last := range lastOf {
-		ft := fallthroughLabel(p, last)
-		if d, ok := dupLabel[ft]; ok {
-			ft = d
-		}
-		ftWant[head] = ft
-	}
-	// wantFallthrough is the label b must reach when it does not transfer
-	// control: for an ordinary block or duplicate, its original block's
-	// fall-through (mapped through duplication).
-	wantFallthrough := func(b *prog.Block) string {
-		if b.Superblock {
-			return ftWant[b.Label]
-		}
-		origLabel := b.Label
-		if o, isDup := dupOrigin(b.Label, dupLabel); isDup {
-			origLabel = o
-		}
-		want := fallthroughLabel(p, origLabel)
-		if d, ok := dupLabel[want]; ok {
-			want = d
-		}
-		return want
 	}
 
 	// Unroll self-loop superblocks. Must happen before fall-through
@@ -174,20 +159,31 @@ func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program 
 	// falling into a now-absorbed trace block (a cold path entering a join)
 	// would otherwise appear to flow into whatever block follows it, hiding
 	// the registers its real successor reads — and the compensation that the
-	// unrolled copies' side exits owe it.
-	lv := dataflow.Compute(withFallthroughs(np, wantFallthrough))
+	// unrolled copies' side exits owe it. Laying the view out resolves every
+	// target against the new order, which the unrolling reads.
+	v := withFallthroughs(np, want)
+	v.Layout()
+	lv := dataflow.Compute(v)
 	used := dataflow.UsedRegs(np)
 	var blocks []*prog.Block
-	for _, b := range np.Blocks {
+	var wantAfter []string
+	for k, b := range np.Blocks {
 		if !b.Superblock {
 			blocks = append(blocks, b)
+			wantAfter = append(wantAfter, want[k])
 			continue
 		}
-		if main, rem, ok := unrollCounted(b, opts, lv, &used); ok {
+		if main, rem, ok := unrollCounted(b, k, opts, lv, &used); ok {
 			blocks = append(blocks, main, rem)
+			wantAfter = append(wantAfter, want[k], "")
 			continue
 		}
-		blocks = append(blocks, unroll(b, ftWant[b.Label], opts, lv, &used)...)
+		out := unroll(b, k, want[k], int32(v.Index(want[k])), opts, lv, &used)
+		blocks = append(blocks, out...)
+		wantAfter = append(wantAfter, want[k])
+		for range out[1:] {
+			wantAfter = append(wantAfter, "")
+		}
 	}
 	np.Blocks = blocks
 	np.Reindex()
@@ -197,32 +193,33 @@ func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program 
 	// layout successor, so any block whose intended fall-through no longer
 	// follows it gets an explicit jump.
 	for i, b := range np.Blocks {
-		if want := missingFallthrough(np, i, wantFallthrough); want != "" {
-			b.Instrs = append(b.Instrs, ir.JMP(want))
+		if w := missingFallthrough(np, i, wantAfter[i]); w != "" {
+			b.Instrs = append(b.Instrs, ir.JMP(w))
 		}
 	}
+	np.Layout()
 	return np
 }
 
-// missingFallthrough returns the label block i must jump to because its
-// intended fall-through (want) no longer follows it in layout, or "".
-func missingFallthrough(p *prog.Program, i int, want func(*prog.Block) string) string {
-	w := want(p.Blocks[i])
-	if w == "" || (i+1 < len(p.Blocks) && p.Blocks[i+1].Label == w) {
+// missingFallthrough returns want, the label block i must reach when it
+// does not transfer control, when that block no longer follows it in
+// layout, or "".
+func missingFallthrough(p *prog.Program, i int, want string) string {
+	if want == "" || (i+1 < len(p.Blocks) && p.Blocks[i+1].Label == want) {
 		return ""
 	}
-	return w
+	return want
 }
 
 // withFallthroughs returns a shallow view of p in which every block whose
-// intended fall-through no longer follows it ends in an explicit jump, for
-// analyses that must see the control flow the patched program will have.
-// p itself is not modified.
-func withFallthroughs(p *prog.Program, want func(*prog.Block) string) *prog.Program {
+// intended fall-through want[i] no longer follows it ends in an explicit
+// jump, for analyses that must see the control flow the patched program
+// will have. p's blocks are not modified.
+func withFallthroughs(p *prog.Program, want []string) *prog.Program {
 	v := &prog.Program{Entry: p.Entry, Blocks: make([]*prog.Block, len(p.Blocks))}
 	for i, b := range p.Blocks {
 		v.Blocks[i] = b
-		if w := missingFallthrough(p, i, want); w != "" {
+		if w := missingFallthrough(p, i, want[i]); w != "" {
 			c := *b
 			c.Instrs = append(b.Instrs[:len(b.Instrs):len(b.Instrs)], ir.JMP(w))
 			v.Blocks[i] = &c
@@ -232,49 +229,54 @@ func withFallthroughs(p *prog.Program, want func(*prog.Block) string) *prog.Prog
 	return v
 }
 
-// selectTraces grows traces from hot seeds along likely edges.
-func selectTraces(p *prog.Program, prof *prog.Profile, opts Options) [][]string {
-	visited := map[string]bool{}
-	var traces [][]string
+// selectTraces grows traces of block positions from hot seeds along likely
+// edges.
+func selectTraces(p *prog.Program, prof *prog.Profile, opts Options) [][]int32 {
+	n := len(p.Blocks)
+	visited := make([]bool, n)
+	var traces [][]int32
+	entry := int32(p.Index(p.Entry))
 
 	// Seeds in decreasing hotness; stable for equal counts by program order.
-	order := make([]*prog.Block, len(p.Blocks))
-	copy(order, p.Blocks)
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && prof.Blocks[order[j].Label] > prof.Blocks[order[j-1].Label]; j-- {
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && prof.Blocks[order[j]] > prof.Blocks[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
 
 	for _, seed := range order {
-		if visited[seed.Label] || prof.Blocks[seed.Label] < opts.MinCount {
+		if visited[seed] || prof.Blocks[seed] < opts.MinCount {
 			continue
 		}
-		tr := []string{seed.Label}
-		visited[seed.Label] = true
-		size := len(seed.Instrs)
+		tr := []int32{seed}
+		visited[seed] = true
+		size := len(p.Blocks[seed].Instrs)
 		cur := seed
 		for {
 			next, ok := bestSuccessor(p, prof, cur, opts)
-			if !ok || visited[next] || next == p.Entry {
+			if !ok || visited[next] || next == entry {
 				break
 			}
-			nb := p.Block(next)
+			nb := p.Blocks[next]
 			if size+len(nb.Instrs) > opts.MaxInstrs {
 				break
 			}
 			// A trace block must reach the next via its terminal transfer
 			// only; joining a block whose hottest predecessor is elsewhere
 			// wastes duplication.
-			if !mutualMostLikely(p, prof, cur.Label, next) {
+			if !mutualMostLikely(p, prof, cur, next) {
 				break
 			}
 			tr = append(tr, next)
 			visited[next] = true
 			size += len(nb.Instrs)
-			cur = nb
+			cur = next
 		}
-		if len(tr) > 1 || isLoopCandidate(p, prof, seed, opts) {
+		if len(tr) > 1 || isLoopCandidate(prof, seed, opts) {
 			traces = append(traces, tr)
 		}
 	}
@@ -283,36 +285,36 @@ func selectTraces(p *prog.Program, prof *prog.Profile, opts Options) [][]string 
 
 // bestSuccessor returns cur's most frequent successor when its edge
 // probability meets the threshold.
-func bestSuccessor(p *prog.Program, prof *prog.Profile, cur *prog.Block, opts Options) (string, bool) {
-	total := prof.Blocks[cur.Label]
+func bestSuccessor(p *prog.Program, prof *prog.Profile, cur int32, opts Options) (int32, bool) {
+	total := prof.Blocks[cur]
 	if total < opts.MinCount {
-		return "", false
+		return -1, false
 	}
-	var best string
+	best := int32(-1)
 	var bestN int64 = -1
-	var succ [4]string
-	for _, s := range p.AppendSuccessors(succ[:0], cur) {
-		if n := prof.Edges[prog.EdgeKey{From: cur.Label, To: s}]; n > bestN {
+	var succ [4]int32
+	for _, s := range p.AppendSuccessors(succ[:0], int(cur)) {
+		if n := prof.Edge(int(cur), int(s)); n > bestN {
 			best, bestN = s, n
 		}
 	}
 	if bestN <= 0 || float64(bestN)/float64(total) < opts.MinProb {
-		return "", false
+		return -1, false
 	}
 	return best, true
 }
 
 // mutualMostLikely reports whether from is also next's most frequent
 // predecessor.
-func mutualMostLikely(p *prog.Program, prof *prog.Profile, from, next string) bool {
-	in := prof.Edges[prog.EdgeKey{From: from, To: next}]
-	var succ [4]string
-	for _, b := range p.Blocks {
-		if b.Label == from {
+func mutualMostLikely(p *prog.Program, prof *prog.Profile, from, next int32) bool {
+	in := prof.Edge(int(from), int(next))
+	var succ [4]int32
+	for b := range p.Blocks {
+		if b == int(from) {
 			continue
 		}
 		for _, s := range p.AppendSuccessors(succ[:0], b) {
-			if s == next && prof.Edges[prog.EdgeKey{From: b.Label, To: next}] > in {
+			if s == next && prof.Edge(b, int(next)) > in {
 				return false
 			}
 		}
@@ -322,12 +324,12 @@ func mutualMostLikely(p *prog.Program, prof *prog.Profile, from, next string) bo
 
 // isLoopCandidate reports whether a single-block trace is a hot self-loop
 // worth turning into a superblock (so it can be unrolled).
-func isLoopCandidate(p *prog.Program, prof *prog.Profile, b *prog.Block, opts Options) bool {
-	n := prof.Blocks[b.Label]
+func isLoopCandidate(prof *prog.Profile, b int32, opts Options) bool {
+	n := prof.Blocks[b]
 	if n < opts.MinCount {
 		return false
 	}
-	back := prof.Edges[prog.EdgeKey{From: b.Label, To: b.Label}]
+	back := prof.Edge(int(b), int(b))
 	return back > 0 && float64(back)/float64(n) >= opts.MinProb
 }
 
@@ -346,37 +348,17 @@ func invertBranch(op ir.Op) ir.Op {
 	panic("superblock: invertBranch on " + op.String())
 }
 
-// fallthroughLabel returns the label execution reaches when b's terminal
-// instruction does not transfer control, or "" if b cannot fall through.
-func fallthroughLabel(p *prog.Program, label string) string {
-	idx := p.BlockIndex(label)
-	if idx < 0 {
-		return "" // block created after formation (e.g. a compensation stub)
-	}
-	b := p.Blocks[idx]
-	if n := len(b.Instrs); n > 0 {
-		last := b.Instrs[n-1]
-		if last.Op == ir.Halt || last.Op == ir.Jmp {
-			return ""
-		}
-	}
-	if idx+1 < len(p.Blocks) {
-		return p.Blocks[idx+1].Label
-	}
-	return ""
-}
-
 // mergeTrace concatenates the trace blocks into one superblock, flipping
 // branches so that staying on the trace is always the fall-through path and
 // side exits are the taken paths.
-func mergeTrace(p *prog.Program, prof *prog.Profile, tr []string) *prog.Block {
+func mergeTrace(p *prog.Program, prof *prog.Profile, tr []int32) *prog.Block {
 	sb := &prog.Block{
-		Label:      tr[0],
+		Label:      p.Blocks[tr[0]].Label,
 		Superblock: true,
 		WeightHint: prof.Blocks[tr[0]],
 	}
-	for ti, label := range tr {
-		b := p.Block(label)
+	for ti, bi := range tr {
+		b := p.Blocks[bi]
 		last := ti == len(tr)-1
 		for ii, in := range b.Instrs {
 			c := in.Clone()
@@ -384,18 +366,17 @@ func mergeTrace(p *prog.Program, prof *prog.Profile, tr []string) *prog.Block {
 			if !last && terminal {
 				next := tr[ti+1]
 				switch {
-				case c.Op == ir.Jmp && c.Target == next:
+				case c.Op == ir.Jmp && c.TargetIndex == next:
 					continue // interior unconditional transfer: drop
-				case ir.IsBranch(c.Op) && c.Target == next:
+				case ir.IsBranch(c.Op) && c.TargetIndex == next:
 					// Trace follows the taken edge: invert so the trace is
 					// the fall-through and the old fall-through becomes the
 					// side exit.
-					ft := fallthroughLabel(p, label)
-					if ft == "" {
-						panic(fmt.Sprintf("superblock: block %q has taken-edge trace successor but no fall-through", label))
+					if !p.FallsThrough(int(bi)) {
+						panic(fmt.Sprintf("superblock: block %q has taken-edge trace successor but no fall-through", b.Label))
 					}
 					c.Op = invertBranch(c.Op)
-					c.Target = ft
+					c.Target, c.TargetIndex = p.Blocks[bi+1].Label, bi+1
 				case ir.IsBranch(c.Op):
 					// Trace follows the fall-through; branch is a side exit
 					// and stays as is.
@@ -409,15 +390,6 @@ func mergeTrace(p *prog.Program, prof *prog.Profile, tr []string) *prog.Block {
 	return sb
 }
 
-func dupOrigin(label string, dupLabel map[string]string) (string, bool) {
-	for o, d := range dupLabel {
-		if d == label {
-			return o, true
-		}
-	}
-	return "", false
-}
-
 // unroll replicates a self-loop superblock body. The back edge of every
 // copy but the last is inverted into a side exit targeting the loop's
 // fall-through successor. Iteration-local registers and induction variables
@@ -425,7 +397,7 @@ func dupOrigin(label string, dupLabel map[string]string) (string, bool) {
 // unrolled iterations; the architectural values expected by exit paths are
 // restored by per-exit compensation stubs, keeping the hot path free of
 // maintenance moves (the superblock compensation-code technique).
-func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) []*prog.Block {
+func unroll(sb *prog.Block, k int, exitLabel string, exitIdx int32, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) []*prog.Block {
 	if opts.Unroll <= 1 || len(sb.Instrs) == 0 {
 		return []*prog.Block{sb}
 	}
@@ -454,7 +426,7 @@ func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Livenes
 			if ir.IsBranch(last.Op) {
 				exit := last.Clone()
 				exit.Op = invertBranch(exit.Op)
-				exit.Target = exitLabel
+				exit.Target, exit.TargetIndex = exitLabel, exitIdx
 				copies[k] = append(copies[k], exit)
 			}
 			// An unconditional back edge just flows into the next copy.
@@ -463,9 +435,9 @@ func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Livenes
 		}
 	}
 	recs := expandInductions(copies, used)
-	recs = append(recs, expandLocals(sb.Label, copies, lv, used)...)
+	recs = append(recs, expandLocals(int32(k), copies, lv, used)...)
 	stubs := buildExitStubs(sb.Label, copies, recs, lv)
-	insertFallthroughMovs(copies, recs, exitLabel, lv)
+	insertFallthroughMovs(copies, recs, exitIdx, lv)
 
 	out := &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint}
 	for _, c := range copies {
@@ -491,7 +463,7 @@ func unroll(sb *prog.Block, exitLabel string, opts Options, lv *dataflow.Livenes
 //	L.rem:  bge rI, N, exit
 //	        body
 //	        jmp L.rem
-func unrollCounted(sb *prog.Block, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) (main, rem *prog.Block, ok bool) {
+func unrollCounted(sb *prog.Block, k int, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) (main, rem *prog.Block, ok bool) {
 	if opts.Unroll <= 1 || len(sb.Instrs) < 3 {
 		return nil, nil, false
 	}
@@ -539,7 +511,7 @@ func unrollCounted(sb *prog.Block, opts Options, lv *dataflow.Liveness, used *da
 		}
 	}
 	expandInductions(copies, used)
-	expandLocals(sb.Label, copies, lv, used)
+	expandLocals(int32(k), copies, lv, used)
 
 	main = &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint}
 	main.Instrs = append(main.Instrs, guard)
@@ -716,7 +688,7 @@ func sortRegs(regs []ir.Reg) {
 // paths expect under the original name are restored by compensation stubs
 // built from the returned records (registers needed by no exit return no
 // record).
-func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used *dataflow.RegSet) []renameRec {
+func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used *dataflow.RegSet) []renameRec {
 	if len(copies) < 2 {
 		return nil
 	}
@@ -757,7 +729,7 @@ func expandLocals(head string, copies [][]*ir.Instr, lv *dataflow.Liveness, used
 		}
 		liveAtExit := false
 		for _, in := range proto {
-			if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && lv.In[in.Target].Has(r) {
+			if lv.LiveAtTaken(in).Has(r) {
 				liveAtExit = true
 				break
 			}
@@ -815,7 +787,7 @@ func buildExitStubs(label string, copies [][]*ir.Instr, recs []renameRec, lv *da
 			if !ir.IsBranch(in.Op) || in.Target == label {
 				continue
 			}
-			movs := compensationMovs(recs, k, i, lv.In[in.Target])
+			movs := compensationMovs(recs, k, i, lv.LiveAtTaken(in))
 			if len(movs) == 0 {
 				continue
 			}
@@ -855,8 +827,8 @@ func compensationMovs(recs []renameRec, k, i int, live dataflow.RegSet) []*ir.In
 // fall-through successor expects (the path past a conditional back edge,
 // which cannot be stubbed): their moves go inline at the end of the last
 // copy, before the back-edge branch. Induction finals are already in place.
-func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitLabel string, lv *dataflow.Liveness) {
-	if exitLabel == "" || len(copies) == 0 {
+func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitIdx int32, lv *dataflow.Liveness) {
+	if exitIdx < 0 || len(copies) == 0 {
 		return
 	}
 	lastCopy := copies[len(copies)-1]
@@ -867,10 +839,10 @@ func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitLabel str
 		if rec.induction {
 			continue // maintained by the final move after the last increment
 		}
-		if !lv.In[exitLabel].Has(rec.arch) {
+		if !lv.In[exitIdx].Has(rec.arch) {
 			continue
 		}
-		movs = append(movs, compensationMovs(recs[ri:ri+1], k, len(lastCopy), lv.In[exitLabel])...)
+		movs = append(movs, compensationMovs(recs[ri:ri+1], k, len(lastCopy), lv.In[exitIdx])...)
 	}
 	if len(movs) == 0 {
 		return

@@ -1,8 +1,12 @@
 package superblock
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
+	"sentinel/internal/dataflow"
 	"sentinel/internal/ir"
 	"sentinel/internal/mem"
 	"sentinel/internal/prog"
@@ -230,11 +234,8 @@ func TestFormTakenEdgeTrace(t *testing.T) {
 func TestFormColdProgramUntouched(t *testing.T) {
 	p, _ := sumLoop(3)
 	p.Layout()
-	empty := &prog.Profile{
-		Blocks:   map[string]int64{},
-		Branches: map[prog.BranchKey]*prog.BranchStat{},
-		Edges:    map[prog.EdgeKey]int64{},
-	}
+	n := len(p.Blocks)
+	empty := &prog.Profile{Blocks: make([]int64, n), Fall: make([]int64, n), Taken: make([]int64, p.Layout())}
 	f := Form(p, empty, Options{})
 	for _, b := range f.Blocks {
 		if b.Superblock {
@@ -302,5 +303,52 @@ func TestFormNestedLoops(t *testing.T) {
 	sb := f.Block("inner")
 	if sb == nil || !sb.Superblock {
 		t.Fatalf("inner loop not a superblock:\n%s", f)
+	}
+}
+
+// TestSharedProgramReaders runs the reference interpreter, liveness and
+// formation concurrently on one laid-out program, as the evaluation runner
+// does with its cached builds: every reader must see the same program and
+// produce the result a lone reader does (run under -race, a write to the
+// shared program fails the test).
+func TestSharedProgramReaders(t *testing.T) {
+	p, m := biasedDiamond()
+	p.Layout()
+	ref, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Form(p, ref.Profile, Options{}).String()
+	wantLive := dataflow.Compute(p).In
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			res, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
+			if err == nil && !slices.Equal(res.Profile.Blocks, ref.Profile.Blocks) {
+				err = fmt.Errorf("block counts %v, want %v", res.Profile.Blocks, ref.Profile.Blocks)
+			}
+			if err == nil && !slices.Equal(dataflow.Compute(p).In, wantLive) {
+				err = fmt.Errorf("liveness differs from a lone run")
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			if got := Form(p, ref.Profile, Options{}).String(); got != want {
+				err = fmt.Errorf("formed program differs from a lone formation:\n%s", got)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
