@@ -285,11 +285,11 @@ func TestScheduleParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// prepare is Prepare on a clone of p, returning the clone: the block
+// prepare is prepareOwned on a clone of p, returning the clone: the block
 // scheduler's inputs for one kernel, leaving p untouched.
 func prepare(p *prog.Program, md machine.Desc) (*prog.Program, *dataflow.Liveness, *alias.Provenance, Stats, error) {
 	p = p.Clone()
-	lv, pv, stats, err := Prepare(p, md)
+	lv, pv, stats, err := prepareOwned(p, md)
 	if err != nil {
 		return nil, nil, nil, stats, err
 	}

@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"sentinel/internal/alias"
 	"sentinel/internal/dataflow"
@@ -93,7 +92,7 @@ type blockScheduler func(*prog.Block, *dataflow.Liveness, *alias.Provenance, mac
 // targets whatever the caller did.
 func compile(p *prog.Program, md machine.Desc, schedBlock blockScheduler) (*prog.Program, Stats, error) {
 	p.Layout()
-	lv, pv, stats, err := Prepare(p, md)
+	lv, pv, stats, err := prepareOwned(p, md)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -114,11 +113,10 @@ func compile(p *prog.Program, md machine.Desc, schedBlock blockScheduler) (*prog
 	return p, stats, nil
 }
 
-// Prepare validates md and readies p, which the caller owns and has laid
-// out, for block scheduling in place — recovery renaming applied and
-// exception-tag resets inserted — returning its liveness and pointer
-// provenance.
-func Prepare(p *prog.Program, md machine.Desc) (*dataflow.Liveness, *alias.Provenance, Stats, error) {
+// prepareOwned validates md and readies the laid-out p for block scheduling
+// in place — recovery renaming applied and exception-tag resets inserted —
+// returning its liveness and pointer provenance.
+func prepareOwned(p *prog.Program, md machine.Desc) (*dataflow.Liveness, *alias.Provenance, Stats, error) {
 	var stats Stats
 	if err := md.Validate(); err != nil {
 		return nil, nil, stats, err
@@ -133,10 +131,8 @@ func Prepare(p *prog.Program, md machine.Desc) (*dataflow.Liveness, *alias.Prove
 
 	lv := dataflow.Compute(p)
 	if md.Model.UsesTags() {
-		if n := insertClearTags(p, lv); n > 0 {
-			stats.ClearTags += n
-			lv = entryCleared(p, lv)
-		}
+		stats.ClearTags += insertClearTags(p, lv)
+		lv = dataflow.Compute(p) // ClearTags define registers
 	}
 	return lv, alias.Analyze(p), stats, nil
 }
@@ -157,23 +153,6 @@ func insertClearTags(p *prog.Program, lv *dataflow.Liveness) int {
 	}
 	entry.Instrs = append(pre, entry.Instrs...)
 	return len(regs)
-}
-
-// entryCleared returns p's liveness after insertClearTags, given lv from
-// before it. The resets define every register live into the entry block,
-// so its live-in becomes empty and, unless a block transfers control to
-// the entry, no other set changes.
-func entryCleared(p *prog.Program, lv *dataflow.Liveness) *dataflow.Liveness {
-	var succ []int32
-	for i := range p.Blocks {
-		succ = p.AppendSuccessors(succ, i)
-	}
-	entry := p.Index(p.Entry)
-	if slices.Contains(succ, int32(entry)) {
-		return dataflow.Compute(p)
-	}
-	lv.In[entry] = dataflow.RegSet{}
-	return lv
 }
 
 // region tracks one open restartable sequence (§3.7): from a speculative

@@ -205,3 +205,29 @@ func TestSharingAblationDirection(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontProfileAfterForm: the profile Front returns with Form describes
+// the program as it was run, although formation rewrote that program in
+// place: every edge count matches a run that formed nothing.
+func TestFrontProfileAfterForm(t *testing.T) {
+	for _, w := range workload.All() {
+		p, m := w.Build()
+		_, formed, err := Front(p, m, FrontOptions{Form: true})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		q, m := w.Build()
+		_, plain, err := Front(q, m, FrontOptions{Reference: true})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		got, want := formed.Profile, plain.Profile
+		for i := range want.Blocks {
+			for j := range want.Blocks {
+				if g, e := got.Edge(i, j), want.Edge(i, j); g != e {
+					t.Fatalf("%s: Edge(%d, %d) = %d after formation, want %d", w.Name, i, j, g, e)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package prog
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sentinel/internal/ir"
 	"sentinel/internal/mem"
@@ -62,9 +63,9 @@ func (x *ExcInfo) Error() string {
 type FaultHandler func(exc ExcInfo, env *Env) bool
 
 // Profile is the dynamic execution profile used by superblock formation,
-// counted by position in the laid-out program it was taken of. Edge reads
-// that program's instructions, so the profile describes the program only
-// until it changes.
+// counted by position in the laid-out program it was taken of. It records
+// that program's shape as well as its counts, so it stays valid when the
+// program is edited or formed afterwards.
 type Profile struct {
 	// Blocks[i] counts the executions of block i.
 	Blocks []int64
@@ -73,16 +74,41 @@ type Profile struct {
 	Taken []int64
 	// Fall[i] counts the times block i fell through to block i+1.
 	Fall []int64
-
-	p *Program
+	// Start[i] is the PC of block i's first instruction and
+	// Start[len(Blocks)] the number of PCs; Target[pc] is the position of
+	// the block the branch or jump at pc targets, -1 for other
+	// instructions.
+	Start, Target []int32
+	// Labels[i] is block i's label, for the label accessors.
+	Labels []string
 }
 
-// newProfile returns a zeroed profile for p, whose layout assigned npc PCs:
-// one allocation for the counters.
-func newProfile(p *Program, npc int) *Profile {
-	nb := len(p.Blocks)
+// newProfile returns a zeroed profile of the laid-out p.
+func newProfile(p *Program) *Profile {
+	nb, npc := len(p.Blocks), 0
+	for _, b := range p.Blocks {
+		npc += len(b.Instrs)
+	}
 	c := make([]int64, 2*nb+npc)
-	return &Profile{Blocks: c[:nb:nb], Fall: c[nb : 2*nb : 2*nb], Taken: c[2*nb:], p: p}
+	shape := make([]int32, nb+1+npc)
+	pr := &Profile{
+		Blocks: c[:nb:nb], Fall: c[nb : 2*nb : 2*nb], Taken: c[2*nb:],
+		Start: shape[: nb+1 : nb+1], Target: shape[nb+1:],
+		Labels: make([]string, nb),
+	}
+	pc := int32(0)
+	for i, b := range p.Blocks {
+		pr.Start[i], pr.Labels[i] = pc, b.Label
+		for _, in := range b.Instrs {
+			pr.Target[pc] = -1
+			if ir.IsBranch(in.Op) || in.Op == ir.Jmp {
+				pr.Target[pc] = in.TargetIndex
+			}
+			pc++
+		}
+	}
+	pr.Start[nb] = pc
+	return pr
 }
 
 // Edge returns the times control passed from block from to block to: the
@@ -90,9 +116,9 @@ func newProfile(p *Program, npc int) *Profile {
 // fall-through when to follows it.
 func (pr *Profile) Edge(from, to int) int64 {
 	var n int64
-	for _, in := range pr.p.Blocks[from].Instrs {
-		if (ir.IsBranch(in.Op) || in.Op == ir.Jmp) && int(in.TargetIndex) == to {
-			n += pr.Taken[in.PC]
+	for pc := pr.Start[from]; pc < pr.Start[from+1]; pc++ {
+		if int(pr.Target[pc]) == to {
+			n += pr.Taken[pc]
 		}
 	}
 	if to == from+1 {
@@ -104,7 +130,7 @@ func (pr *Profile) Edge(from, to int) int64 {
 // BlockCount is Blocks by label, for tests and tools; an unknown label
 // counts 0.
 func (pr *Profile) BlockCount(label string) int64 {
-	if i := pr.p.Index(label); i >= 0 {
+	if i := slices.Index(pr.Labels, label); i >= 0 {
 		return pr.Blocks[i]
 	}
 	return 0
@@ -112,7 +138,7 @@ func (pr *Profile) BlockCount(label string) int64 {
 
 // EdgeCount is Edge by label.
 func (pr *Profile) EdgeCount(from, to string) int64 {
-	if i, j := pr.p.Index(from), pr.p.Index(to); i >= 0 && j >= 0 {
+	if i, j := slices.Index(pr.Labels, from), slices.Index(pr.Labels, to); i >= 0 && j >= 0 {
 		return pr.Edge(i, j)
 	}
 	return 0
@@ -149,8 +175,9 @@ func RuntimeKnown(name string) bool { _, ok := runtimeFns[name]; return ok }
 
 // Run executes p sequentially on the given memory (mutated in place) and
 // returns the architectural result. The program must have been laid out
-// (Layout) and validated: Run follows the resolved block positions and
-// counts the profile, when collected, into arrays.
+// (Layout) and validated: Run follows the resolved block positions, failing
+// on a transfer that Layout has not resolved, and counts the profile, when
+// collected, into arrays.
 func Run(p *Program, m *mem.Memory, opts Options) (*Result, error) {
 	if opts.MaxInstrs == 0 {
 		opts.MaxInstrs = 100_000_000
@@ -159,11 +186,7 @@ func Run(p *Program, m *mem.Memory, opts Options) (*Result, error) {
 	res := &Result{Env: env}
 	var prof *Profile
 	if opts.Collect {
-		npc := 0
-		for _, b := range p.Blocks {
-			npc += len(b.Instrs)
-		}
-		prof = newProfile(p, npc)
+		prof = newProfile(p)
 		res.Profile = prof
 	}
 
@@ -171,7 +194,7 @@ func Run(p *Program, m *mem.Memory, opts Options) (*Result, error) {
 	if bi < 0 {
 		return nil, fmt.Errorf("prog: entry %q not found", p.Entry)
 	}
-	for bi >= 0 {
+	for {
 		b := p.Blocks[bi]
 		if prof != nil {
 			prof.Blocks[bi]++
@@ -215,8 +238,11 @@ func runBlock(b *Block, bi, nb int, env *Env, res *Result, prof *Profile, opts *
 		case in.Op == ir.Halt:
 			return 0, true, nil
 		case in.Op == ir.Jmp || taken:
+			if in.TargetIndex < 0 {
+				return 0, false, fmt.Errorf("prog: transfer to %q in block %q not laid out", in.Target, b.Label)
+			}
 			if prof != nil {
-				prof.Taken[in.PC]++
+				prof.Taken[prof.Start[bi]+int32(i)]++
 			}
 			return int(in.TargetIndex), false, nil
 		}

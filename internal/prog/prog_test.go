@@ -80,6 +80,52 @@ func TestRunSumLoop(t *testing.T) {
 	}
 }
 
+// TestProfileOutlivesEdits: a profile keeps describing the program it was
+// taken of after that program is edited and laid out again.
+func TestProfileOutlivesEdits(t *testing.T) {
+	p := sumProgram(0x1000, 4)
+	p.Layout()
+	res, err := Run(p, sumMemory(0x1000, []int64{3, 5, 7, 11}), Options{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := res.Profile
+	body := p.Block("body")
+	body.Instrs = append([]*ir.Instr{ir.BR(ir.Beq, ir.R(0), ir.R(0), "done")}, body.Instrs...)
+	p.Blocks[0], p.Blocks[3] = p.Blocks[3], p.Blocks[0]
+	p.Reindex()
+	p.Layout()
+	for _, e := range []struct {
+		from, to int
+		want     int64
+	}{{0, 1, 1}, {2, 1, 4}, {1, 3, 1}, {1, 2, 4}, {2, 3, 0}, {3, 1, 0}} {
+		if got := prof.Edge(e.from, e.to); got != e.want {
+			t.Errorf("Edge(%d, %d) = %d after the edit, want %d", e.from, e.to, got, e.want)
+		}
+	}
+	if got := prof.EdgeCount("body", "loop"); got != 4 {
+		t.Errorf("edge body->loop = %d after the edit, want 4", got)
+	}
+	if got := prof.BlockCount("entry"); got != 1 {
+		t.Errorf("entry count = %d after the edit, want 1", got)
+	}
+}
+
+// TestRunUnresolvedTarget: a transfer whose target Layout never resolved is
+// an error, with or without a profile.
+func TestRunUnresolvedTarget(t *testing.T) {
+	for _, collect := range []bool{false, true} {
+		p := sumProgram(0x1000, 4)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(p, sumMemory(0x1000, []int64{3, 5, 7, 11}), Options{Collect: collect})
+		if err == nil || !strings.Contains(err.Error(), `transfer to "loop" in block "body" not laid out`) {
+			t.Errorf("collect=%v: Run of a program never laid out = %v", collect, err)
+		}
+	}
+}
+
 func TestLayoutAndInstrAt(t *testing.T) {
 	p := sumProgram(0x1000, 1)
 	n := p.Layout()

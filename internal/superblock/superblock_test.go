@@ -232,10 +232,16 @@ func TestFormTakenEdgeTrace(t *testing.T) {
 // TestFormColdProgramUntouched: with no profile counts, formation must leave
 // the program structurally intact (no superblocks).
 func TestFormColdProgramUntouched(t *testing.T) {
-	p, _ := sumLoop(3)
+	p, m := sumLoop(3)
 	p.Layout()
-	n := len(p.Blocks)
-	empty := &prog.Profile{Blocks: make([]int64, n), Fall: make([]int64, n), Taken: make([]int64, p.Layout())}
+	ref, err := prog.Run(p, m, prog.Options{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := ref.Profile
+	clear(empty.Blocks)
+	clear(empty.Taken)
+	clear(empty.Fall)
 	f := Form(p, empty, Options{})
 	for _, b := range f.Blocks {
 		if b.Superblock {
