@@ -58,7 +58,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print runner cache/utilization metrics to stderr after the run")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON of one benchmark cell to this file (see -tracebench)")
 	traceBench := flag.String("tracebench", "cmp", "benchmark to trace with -trace (sentinel+stores, issue 8)")
-	benchJSON := flag.String("benchjson", "", "measure the schedule/sim/serve hot paths and write BENCH_schedule.json, BENCH_sim.json and BENCH_serve.json into this directory")
 	var prof obs.Profiles
 	flag.StringVar(&prof.CPUFile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&prof.MemFile, "memprofile", "", "write a pprof heap profile to this file on exit")
@@ -67,13 +66,6 @@ func main() {
 
 	if *all {
 		s = eval.AllSections()
-	}
-	if !s.Any() && *benchJSON != "" {
-		// Benchmark-only invocation: no figure output, just the JSON files.
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	if !s.Any() {
 		flag.Usage()
@@ -100,11 +92,6 @@ func main() {
 	// (the CI "no observer effect" job and TestObserverEffect pin this).
 	if *trace != "" {
 		if err := writeTrace(r, *traceBench, *trace); err != nil {
-			fatal(err)
-		}
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
 			fatal(err)
 		}
 	}

@@ -131,8 +131,10 @@ func prepareOwned(p *prog.Program, md machine.Desc) (*dataflow.Liveness, *alias.
 
 	lv := dataflow.Compute(p)
 	if md.Model.UsesTags() {
-		stats.ClearTags += insertClearTags(p, lv)
-		lv = dataflow.Compute(p) // ClearTags define registers
+		if n := insertClearTags(p, lv); n > 0 {
+			stats.ClearTags += n
+			lv = dataflow.Compute(p) // ClearTags define registers
+		}
 	}
 	return lv, alias.Analyze(p), stats, nil
 }

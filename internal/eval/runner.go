@@ -543,13 +543,8 @@ func (r *Runner) RunAllCtx(ctx context.Context, models []machine.Model, widths [
 	return r.RunBenchmarksCtx(ctx, workload.All(), models, widths, sbo)
 }
 
-// RunBenchmarks measures the full cell matrix benches × (base ∪ models ×
-// widths) concurrently and aggregates deterministically.
-func (r *Runner) RunBenchmarks(benches []workload.Benchmark, models []machine.Model, widths []int, sbo superblock.Options) ([]*BenchResult, error) {
-	return r.RunBenchmarksCtx(context.Background(), benches, models, widths, sbo)
-}
-
-// RunBenchmarksCtx is RunBenchmarks with cancellation: once ctx expires,
+// RunBenchmarksCtx measures the full cell matrix benches × (base ∪ models ×
+// widths) concurrently and aggregates deterministically. Once ctx expires,
 // queued cells are no longer dispatched (in-flight cells complete and stay
 // cached) and the context's error is returned.
 func (r *Runner) RunBenchmarksCtx(ctx context.Context, benches []workload.Benchmark, models []machine.Model, widths []int, sbo superblock.Options) ([]*BenchResult, error) {

@@ -39,7 +39,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 16} {
-		parallel, err := NewRunner(workers).RunBenchmarks(benches, allModels, Widths, superblock.Options{})
+		parallel, err := NewRunner(workers).RunBenchmarksCtx(context.Background(), benches, allModels, Widths, superblock.Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -268,7 +268,7 @@ func TestRunnerMetrics(t *testing.T) {
 	benches := []workload.Benchmark{bench(t, "wc"), bench(t, "cmp")}
 	models := []machine.Model{machine.Sentinel}
 
-	plain, err := NewRunner(2).RunBenchmarks(benches, models, Widths, superblock.Options{})
+	plain, err := NewRunner(2).RunBenchmarksCtx(context.Background(), benches, models, Widths, superblock.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRunnerMetrics(t *testing.T) {
 	r := NewRunner(2)
 	reg := obs.NewRegistry()
 	r.SetMetrics(reg)
-	observed, err := r.RunBenchmarks(benches, models, Widths, superblock.Options{})
+	observed, err := r.RunBenchmarksCtx(context.Background(), benches, models, Widths, superblock.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,6 +72,21 @@ func (s *Sections) SectionByName(name string) bool {
 	return true
 }
 
+// SectionsByName resolves a list of section names, as a /v1/figures query
+// carries them, through SectionByName; no names select every section. ok is
+// false at the first unknown name, which it returns.
+func SectionsByName(names []string) (s Sections, unknown string, ok bool) {
+	if len(names) == 0 {
+		return AllSections(), "", true
+	}
+	for _, name := range names {
+		if !s.SectionByName(name) {
+			return s, name, false
+		}
+	}
+	return s, "", true
+}
+
 // RenderSections renders the selected sections to w using r for every
 // measurement. The headline figures share one RunAll matrix; extension
 // sections run through the same Runner, so artifacts are reused across

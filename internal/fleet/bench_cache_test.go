@@ -1,7 +1,8 @@
 package fleet_test
 
-// The warm-path benchmarks the perf work is gated on (scripts/benchgate.py
-// reads their mirrors out of BENCH_serve.json):
+// The warm-path benchmarks the perf work is gated on (scripts/benchjson.py
+// turns their go test output into BENCH_serve.json rows, which
+// scripts/benchgate.py compares against the committed baseline):
 //
 //   FleetServeWarm — a raw-lane front-cache hit served by the router with
 //   no backend traffic: slurp, fingerprint, one shard lookup, one Write.
@@ -10,8 +11,6 @@ package fleet_test
 //   FleetProxyMiss — the same request with caching disabled, so every serve
 //   crosses the raw pooled-connection HTTP/1.1 hop to a warm backend; this
 //   is the floor the old net/http hop was ~3.5x above.
-//
-// cmd/paperfigs -benchjson runs the same two loops to regenerate the JSON.
 
 import (
 	"io"

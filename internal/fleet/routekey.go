@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"net/url"
 
+	"sentinel/internal/eval"
 	"sentinel/internal/fingerprint"
 	"sentinel/internal/machine"
 	"sentinel/internal/server"
@@ -86,54 +87,20 @@ func bodyRouteKey(body []byte, schedule bool) (k fingerprint.Key, strict, ok boo
 	return fingerprint.Simulate(q.Workload, q.Source, md), strict, true
 }
 
-// figuresRouteKey fingerprints a /v1/figures query by its resolved section
-// set, mirroring the endpoint's section vocabulary (eval.SectionByName). An
-// unknown section name falls back to raw-key routing; the backend owns the
-// error.
+// figuresRouteKey fingerprints a /v1/figures query as the endpoint does:
+// its section set resolved by eval.SectionsByName, keyed by
+// server.FiguresKey. An unknown section name falls back to raw-key routing;
+// the backend owns the error.
 func figuresRouteKey(rawQuery string) (fingerprint.Key, bool) {
 	q, err := url.ParseQuery(rawQuery)
 	if err != nil {
 		return fingerprint.Key{}, false
 	}
-	names := q["section"]
-	var fig4, fig5, table3, overhead, recovery, buffer, faults, sharing, boost, prediction bool
-	if len(names) == 0 {
-		fig4, fig5, table3, overhead = true, true, true, true
-		recovery, buffer, faults, sharing = true, true, true, true
-		boost, prediction = true, true
+	secs, _, ok := eval.SectionsByName(q["section"])
+	if !ok {
+		return fingerprint.Key{}, false
 	}
-	for _, name := range names {
-		switch name {
-		case "fig4":
-			fig4 = true
-		case "fig5":
-			fig5 = true
-		case "table3":
-			table3 = true
-		case "overhead":
-			overhead = true
-		case "recovery":
-			recovery = true
-		case "buffer":
-			buffer = true
-		case "faults":
-			faults = true
-		case "sharing":
-			sharing = true
-		case "boosting", "boost":
-			boost = true
-		case "prediction":
-			prediction = true
-		case "all":
-			fig4, fig5, table3, overhead = true, true, true, true
-			recovery, buffer, faults, sharing = true, true, true, true
-			boost, prediction = true, true
-		default:
-			return fingerprint.Key{}, false
-		}
-	}
-	return fingerprint.Figures(fig4, fig5, table3, overhead, recovery,
-		buffer, faults, sharing, boost, prediction), true
+	return server.FiguresKey(secs), true
 }
 
 // httpRouteKey fingerprints one HTTP request for routing: canonical for the

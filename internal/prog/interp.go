@@ -28,9 +28,6 @@ func (e *Env) Get(r ir.Reg) int64 {
 	return int64(math.Float64bits(e.FP[r.N]))
 }
 
-// GetFP reads a floating-point register.
-func (e *Env) GetFP(r ir.Reg) float64 { return e.FP[r.N] }
-
 // Set writes an integer register (writes to r0 are discarded).
 func (e *Env) Set(r ir.Reg, v int64) {
 	if r.Class == ir.IntClass {
@@ -169,9 +166,6 @@ type Result struct {
 var runtimeFns = map[string]func(arg int64, env *Env){
 	"putint": func(arg int64, env *Env) { env.Out = append(env.Out, arg) },
 }
-
-// RuntimeKnown reports whether name is a defined runtime routine.
-func RuntimeKnown(name string) bool { _, ok := runtimeFns[name]; return ok }
 
 // Run executes p sequentially on the given memory (mutated in place) and
 // returns the architectural result. The program must have been laid out

@@ -512,47 +512,6 @@ func TestBatchCoalescesDuplicateElements(t *testing.T) {
 	}
 }
 
-// BenchmarkServeBatch drives handleBatch in-process with a 64-element frame
-// over the load-client workload mix. The cold variant disables the response
-// cache, so every element runs the full single-endpoint handler against
-// warm artifacts — the amortization target of the batched cold path.
-func BenchmarkServeBatch(b *testing.B) {
-	items := make([]testBatchItem, 64)
-	for i := range items {
-		items[i] = testBatchItem{Request: json.RawMessage(fmt.Sprintf(
-			`{"workload":%q,"model":"sentinel+stores","width":8}`,
-			[]string{"cmp", "wc", "grep", "eqntott"}[i%4]))}
-	}
-	body, err := json.Marshal(items)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"warm64", Config{Workers: 1}},
-		{"cold64", Config{Workers: 1, RespCacheEntries: -1}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			s := New(tc.cfg)
-			run := func() {
-				w := &discardRW{}
-				r, _ := http.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
-				if err := s.handleBatch(w, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // warm artifacts (and, where enabled, the cache)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
-}
-
 func TestBatchWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")

@@ -4,13 +4,16 @@ package server
 // endpoint is measured warm (the response-byte cache hit path — the steady
 // state of a long-lived sentineld) both in-process against the handler and
 // over a real TCP connection with keep-alive, so transport overhead is
-// visible separately from handler overhead.
+// visible separately from handler overhead. The in-process rows are gated
+// (scripts/benchjson.py, then scripts/benchgate.py); the tcp/ rows are not.
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +126,7 @@ var (
 
 func BenchmarkServeSimulate(b *testing.B) {
 	s := New(Config{Workers: 1})
-	b.Run("inproc/warm", func(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
 		benchInproc(b, s, http.MethodPost, "/v1/simulate", benchSimBody)
 	})
 	b.Run("tcp/warm", func(b *testing.B) {
@@ -132,12 +135,12 @@ func BenchmarkServeSimulate(b *testing.B) {
 	// The observability-overhead rows: same warm hit with the flight recorder
 	// armed but effectively never sampling (the steady-state production
 	// setting), and tail-sampling 1 in 16 (the recommended diagnostic rate).
-	b.Run("inproc/warm-recorder", func(b *testing.B) {
+	b.Run("warm-recorder", func(b *testing.B) {
 		sr := New(Config{Workers: 1, Recorder: obs.NewRecorder(obs.RecorderConfig{
 			Entries: 256, Slow: time.Hour, Every: 1 << 30})})
 		benchInproc(b, sr, http.MethodPost, "/v1/simulate", benchSimBody)
 	})
-	b.Run("inproc/warm-sampled16", func(b *testing.B) {
+	b.Run("warm-sampled16", func(b *testing.B) {
 		sr := New(Config{Workers: 1, Recorder: obs.NewRecorder(obs.RecorderConfig{
 			Entries: 256, Slow: time.Hour, Every: 16})})
 		benchInproc(b, sr, http.MethodPost, "/v1/simulate", benchSimBody)
@@ -146,7 +149,7 @@ func BenchmarkServeSimulate(b *testing.B) {
 
 func BenchmarkServeSchedule(b *testing.B) {
 	s := New(Config{Workers: 1})
-	b.Run("inproc/warm", func(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
 		benchInproc(b, s, http.MethodPost, "/v1/schedule", benchSchedBody)
 	})
 	b.Run("tcp/warm", func(b *testing.B) {
@@ -156,12 +159,58 @@ func BenchmarkServeSchedule(b *testing.B) {
 
 func BenchmarkServeFigures(b *testing.B) {
 	s := New(Config{Workers: 1})
-	b.Run("inproc/fig4", func(b *testing.B) {
+	b.Run("fig4", func(b *testing.B) {
 		benchInproc(b, s, http.MethodGet, "/v1/figures?section=fig4", nil)
 	})
 	b.Run("tcp/fig4", func(b *testing.B) {
 		benchTCP(b, s, http.MethodGet, "/v1/figures?section=fig4", nil)
 	})
+}
+
+// BenchmarkServeBatch measures POST /v1/batch end to end (decode,
+// per-element cache probe, fan-out, stream framing) at 64 elements; ns/op is
+// per batch, so divide by 64 to compare against the single-request rows:
+//
+//	warm64:  every element a response-byte cache hit, the batched analogue
+//	         of ServeSimulate/warm
+//	cold64:  cache disabled, every element re-executes through the handler
+//	         against warm artifacts — the amortization target
+//	mixed:   32 warm hits interleaved with 32 full simulations (full runs
+//	         are never cached), the realistic mixed frame
+func BenchmarkServeBatch(b *testing.B) {
+	item := func(body string) string { return `{"request":` + body + `}` }
+	warmBody := item(`{"workload":"cmp","model":"sentinel+stores","width":8}`)
+	var warm64, cold64, mixed []string
+	for i := 0; i < 64; i++ {
+		name := []string{"cmp", "wc", "grep", "eqntott"}[i%4]
+		warm64 = append(warm64, warmBody)
+		cold64 = append(cold64, item(fmt.Sprintf(
+			`{"workload":%q,"model":"sentinel+stores","width":8}`, name)))
+		if i%2 == 0 {
+			mixed = append(mixed, warmBody)
+		} else {
+			mixed = append(mixed, item(fmt.Sprintf(
+				`{"workload":%q,"model":"sentinel+stores","width":8,"full":true}`, name)))
+		}
+	}
+	frame := func(items []string) []byte {
+		return []byte("[" + strings.Join(items, ",") + "]")
+	}
+	cached := New(Config{Workers: 1})
+	uncached := New(Config{Workers: 1, RespCacheEntries: -1})
+	for _, c := range []struct {
+		name string
+		body []byte
+		srv  *Server
+	}{
+		{"warm64", frame(warm64), cached},
+		{"cold64", frame(cold64), uncached},
+		{"mixed", frame(mixed), cached},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			benchInproc(b, c.srv, http.MethodPost, "/v1/batch", c.body)
+		})
+	}
 }
 
 // TestRespCacheServeAllocs pins the acceptance bound: serving a response-

@@ -41,8 +41,9 @@ func scheduleKey(req *ScheduleRequest, md machine.Desc, form bool) respKey {
 	return fingerprint.Schedule(req.Workload, req.Source, md, form)
 }
 
-// figuresKey fingerprints a figures request by its resolved section set.
-func figuresKey(secs eval.Sections) respKey {
+// FiguresKey fingerprints a figures request by its resolved section set.
+// The fleet router routes /v1/figures by the same key.
+func FiguresKey(secs eval.Sections) respKey {
 	return fingerprint.Figures(secs.Fig4, secs.Fig5, secs.Table3, secs.Overhead,
 		secs.Recovery, secs.Buffer, secs.Faults, secs.Sharing, secs.Boost,
 		secs.Prediction)

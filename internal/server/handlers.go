@@ -378,21 +378,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) error {
-	var secs eval.Sections
-	names := r.URL.Query()["section"]
-	if len(names) == 0 {
-		secs = eval.AllSections()
-	}
-	for _, name := range names {
-		if !secs.SectionByName(name) {
-			return apiErrorf(http.StatusBadRequest, KindBadRequest,
-				"unknown section %q (want fig4, fig5, table3, overhead, recovery, buffer, faults, sharing, boosting, prediction, all)", name)
-		}
+	secs, unknown, ok := eval.SectionsByName(r.URL.Query()["section"])
+	if !ok {
+		return apiErrorf(http.StatusBadRequest, KindBadRequest,
+			"unknown section %q (want fig4, fig5, table3, overhead, recovery, buffer, faults, sharing, boosting, prediction, all)", unknown)
 	}
 	// A figure render is deterministic per section set; repeats come from
 	// the response-byte cache without touching the Runner.
 	const figuresContentType = "text/plain; charset=utf-8"
-	key := figuresKey(secs)
+	key := FiguresKey(secs)
 	rd := obs.RecordFrom(r.Context())
 	rd.SetFingerprint(key[:])
 	rd.Start(obs.StageRespCache, obs.ArgCanon)

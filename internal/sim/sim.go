@@ -136,18 +136,6 @@ func (m *Machine) Raw(r ir.Reg) int64 {
 	return int64(math.Float64bits(m.FP[r.N]))
 }
 
-// SetRaw writes a register's data field as raw bits. Writes to r0 are
-// discarded (hardwired zero).
-func (m *Machine) SetRaw(r ir.Reg, v int64) {
-	if r.Class == ir.IntClass {
-		if r.N != 0 {
-			m.Int[r.N] = v
-		}
-		return
-	}
-	m.FP[r.N] = math.Float64frombits(uint64(v))
-}
-
 // rawAt is Raw for the register with dense index r (ir.Reg.Index).
 func (m *Machine) rawAt(r int8) int64 {
 	if r < ir.NumIntRegs {
@@ -156,8 +144,8 @@ func (m *Machine) rawAt(r int8) int64 {
 	return int64(math.Float64bits(m.FP[r-ir.NumIntRegs]))
 }
 
-// setRawAt is SetRaw for the register with dense index r (-1, no register
-// or r0, is ignored).
+// setRawAt writes the data field, as raw bits, of the register with dense
+// index r (-1, no register or r0, is ignored).
 func (m *Machine) setRawAt(r int8, v int64) {
 	switch {
 	case r >= ir.NumIntRegs:

@@ -4,7 +4,8 @@
 Compares a freshly measured BENCH_*.json against the committed baseline and
 fails (exit 1) when any benchmark's ns_per_op regressed by more than the
 threshold (default 20%). ns_per_op is the median of the row's five
-samples (paperfigs -benchjson); where both files carry min_ns/max_ns,
+`go test -bench -count=5` samples (scripts/benchjson.py writes the
+current file from that output); where both files carry min_ns/max_ns,
 the table shows each side's spread beside the medians, so a reader can tell
 a shift from noise. Improvements and alloc changes are reported but
 never fail the gate: the allocation counts are pinned exactly by the JSON
