@@ -21,6 +21,7 @@ package asm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -30,11 +31,24 @@ import (
 	"sentinel/internal/prog"
 )
 
-// Parse assembles source text into a program and its memory image.
+// Parse assembles source text into a program and its memory image. A
+// block's instructions are parsed into reused scratch and copied into the
+// block's own slab when the block ends. The program shares no memory with
+// src: labels and routine names are copied, and branch targets name their
+// block's copy, so a cached program does not pin its source text.
 func Parse(src string) (*prog.Program, *mem.Memory, error) {
 	p := prog.NewProgram()
 	m := mem.New()
 	var cur *prog.Block
+	scratch := make([]ir.Instr, 0, 64)
+	flush := func() {
+		if cur != nil {
+			var slab []ir.Instr
+			slab, cur.Instrs = prog.Slab(len(scratch))
+			copy(slab, scratch)
+			scratch = scratch[:0]
+		}
+	}
 	for lineNo, rest, more := 0, src, true; more; lineNo++ {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
@@ -58,20 +72,38 @@ func Parse(src string) (*prog.Program, *mem.Memory, error) {
 			if label == "" {
 				return nil, nil, fail("empty label")
 			}
-			cur = p.AddBlock(label)
+			flush()
+			cur = p.AddBlock(strings.Clone(label))
 		default:
 			if cur == nil {
 				return nil, nil, fail("instruction before any label")
 			}
-			in, err := ParseInstr(line)
-			if err != nil {
+			scratch = append(scratch, ir.Instr{})
+			if err := parseInstr(&scratch[len(scratch)-1], line); err != nil {
 				return nil, nil, fail("%v", err)
 			}
-			cur.Instrs = append(cur.Instrs, in)
 		}
 	}
+	flush()
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
+	}
+	var names [4]string
+	routines := names[:0] // the routine names copied so far
+	for _, b := range p.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case ir.IsBranch(in.Op) || in.Op == ir.Jmp:
+				in.Target = p.Block(in.Target).Label
+			case in.Op == ir.Jsr:
+				i := slices.Index(routines, in.Target)
+				if i < 0 {
+					i = len(routines)
+					routines = append(routines, strings.Clone(in.Target))
+				}
+				in.Target = routines[i]
+			}
+		}
 	}
 	return p, m, nil
 }
@@ -164,137 +196,146 @@ var opByName = func() map[string]ir.Op {
 
 // ParseInstr parses one instruction in String() syntax.
 func ParseInstr(line string) (*ir.Instr, error) {
+	var in ir.Instr
+	if err := parseInstr(&in, line); err != nil {
+		return nil, err
+	}
+	return &in, nil
+}
+
+// parseInstr is ParseInstr into *in.
+func parseInstr(in *ir.Instr, line string) error {
 	line = strings.TrimSuffix(strings.TrimSpace(line), " <spec>")
 	name, rest, _ := strings.Cut(line, " ")
 	op, ok := opByName[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown opcode %q", name)
+		return fmt.Errorf("unknown opcode %q", name)
 	}
 	var argBuf [3]string
 	args := splitArgs(argBuf[:0], rest)
-	in := ir.New(op)
+	*in = ir.Make(op)
 	switch {
 	case op == ir.Nop || op == ir.Halt:
 		if len(args) != 0 {
-			return nil, fmt.Errorf("%s takes no operands", name)
+			return fmt.Errorf("%s takes no operands", name)
 		}
 	case op == ir.Li:
 		if len(args) != 2 {
-			return nil, fmt.Errorf("li wants: dest, imm")
+			return fmt.Errorf("li wants: dest, imm")
 		}
 		var err error
 		if in.Dest, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if in.Imm, err = parseInt(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 	case op == ir.Mov || op == ir.Fmov || op == ir.Fneg || op == ir.Fabs ||
 		op == ir.Cvif || op == ir.Cvfi || op == ir.ClearTag:
 		if op == ir.ClearTag {
 			if len(args) != 1 {
-				return nil, fmt.Errorf("cleartag wants: reg")
+				return fmt.Errorf("cleartag wants: reg")
 			}
 			var err error
 			if in.Dest, err = parseReg(args[0]); err != nil {
-				return nil, err
+				return err
 			}
 			break
 		}
 		if len(args) != 2 {
-			return nil, fmt.Errorf("%s wants: dest, src", name)
+			return fmt.Errorf("%s wants: dest, src", name)
 		}
 		var err error
 		if in.Dest, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if in.Src1, err = parseReg(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 	case ir.IsLoad(op):
 		if len(args) != 2 {
-			return nil, fmt.Errorf("%s wants: dest, off(base)", name)
+			return fmt.Errorf("%s wants: dest, off(base)", name)
 		}
 		var err error
 		if in.Dest, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if in.Imm, in.Src1, err = parseMemOperand(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 	case ir.IsStore(op):
 		if len(args) != 2 {
-			return nil, fmt.Errorf("%s wants: val, off(base)", name)
+			return fmt.Errorf("%s wants: val, off(base)", name)
 		}
 		var err error
 		if in.Src2, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if in.Imm, in.Src1, err = parseMemOperand(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 	case ir.IsBranch(op):
 		if len(args) != 3 {
-			return nil, fmt.Errorf("%s wants: src1, src2|imm, target", name)
+			return fmt.Errorf("%s wants: src1, src2|imm, target", name)
 		}
 		var err error
 		if in.Src1, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if r, ok := regName(args[1]); ok {
 			in.Src2 = r
 		} else if in.Imm, err = parseInt(args[1]); err != nil {
-			return nil, fmt.Errorf("bad second operand %q", args[1])
+			return fmt.Errorf("bad second operand %q", args[1])
 		}
 		in.Target = args[2]
 	case op == ir.Jmp:
 		if len(args) != 1 {
-			return nil, fmt.Errorf("jmp wants: target")
+			return fmt.Errorf("jmp wants: target")
 		}
 		in.Target = args[0]
 	case op == ir.Jsr:
 		if len(args) != 2 {
-			return nil, fmt.Errorf("jsr wants: routine, argreg")
+			return fmt.Errorf("jsr wants: routine, argreg")
 		}
 		in.Target = args[0]
 		var err error
 		if in.Src1, err = parseReg(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 	case op == ir.Check:
 		if len(args) != 1 {
-			return nil, fmt.Errorf("check wants: reg")
+			return fmt.Errorf("check wants: reg")
 		}
 		var err error
 		if in.Src1, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 	case op == ir.ConfirmSt:
 		if len(args) != 1 {
-			return nil, fmt.Errorf("confirm_st wants: index")
+			return fmt.Errorf("confirm_st wants: index")
 		}
 		var err error
 		if in.Imm, err = parseInt(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 	default: // three-operand ALU: dest, src1, src2|imm
 		if len(args) != 3 {
-			return nil, fmt.Errorf("%s wants: dest, src1, src2|imm", name)
+			return fmt.Errorf("%s wants: dest, src1, src2|imm", name)
 		}
 		var err error
 		if in.Dest, err = parseReg(args[0]); err != nil {
-			return nil, err
+			return err
 		}
 		if in.Src1, err = parseReg(args[1]); err != nil {
-			return nil, err
+			return err
 		}
 		if r, ok := regName(args[2]); ok {
 			in.Src2 = r
 		} else if in.Imm, err = parseInt(args[2]); err != nil {
-			return nil, fmt.Errorf("bad second operand %q", args[2])
+			return fmt.Errorf("bad second operand %q", args[2])
 		}
 	}
-	return in, nil
+	return nil
 }
 
 // splitArgs appends the comma-separated, space-trimmed operands of s to

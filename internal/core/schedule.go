@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"sentinel/internal/alias"
 	"sentinel/internal/dataflow"
@@ -149,11 +150,14 @@ func insertClearTags(p *prog.Program, lv *dataflow.Liveness) int {
 		return 0
 	}
 	entry := p.Block(p.Entry)
-	pre := make([]*ir.Instr, 0, len(regs))
-	for _, r := range regs {
-		pre = append(pre, ir.CLEARTAG(r))
+	// The resets are one slab the entry block owns beside its own.
+	slab := make([]ir.Instr, len(regs))
+	instrs := make([]*ir.Instr, len(regs), len(regs)+len(entry.Instrs))
+	for i, r := range regs {
+		slab[i] = *ir.CLEARTAG(r)
+		instrs[i] = &slab[i]
 	}
-	entry.Instrs = append(pre, entry.Instrs...)
+	entry.Instrs = append(instrs, entry.Instrs...)
 	return len(regs)
 }
 
@@ -255,10 +259,12 @@ type scheduler struct {
 	branchIdx []int32
 	// writerIDs lists the IDs of the original instructions defining each
 	// register, grouped by register slot (ir.Reg.Index) in ID order; slot
-	// k's writers are writerIDs[writerOff[k]:writerOff[k+1]]. They serve the
-	// anti-dependence scan when a check_exception is inserted, so the table
-	// is only built for tag-based models, the only inserters.
-	writerOff [physSlots + 1]int32
+	// k's writers are writerIDs[writerOff[k]:writerOff[k]+writerCnt[k]].
+	// They serve the anti-dependence scan when a check_exception is
+	// inserted, so the table is only built for tag-based models, the only
+	// inserters.
+	writerOff [physSlots]int32
+	writerCnt [physSlots]int32
 	writerIDs []int32
 
 	cycle       int32
@@ -268,37 +274,50 @@ type scheduler struct {
 	stores  []*openStore
 	pairs   []pairEnt
 	stats   Stats
+
+	// is and bs back the per-node state, and at emit's placement table;
+	// like the heaps, they keep their backing arrays in schedPool.
+	is []int32
+	bs []bool
+	at []int32
+}
+
+// schedPool recycles scheduler state across blocks, as depgraph recycles
+// graphs: a scheduler's slabs, heaps and lists are resliced, and cleared,
+// when they are large enough.
+var schedPool = sync.Pool{New: func() any { return new(scheduler) }}
+
+// zeroed returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func scheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, md machine.Desc) (Stats, error) {
 	g := depgraph.Build(b, lv, pv)
 	g.Reduce(md)
 	n := len(g.Nodes)
-	// Per-node state is cut from three slabs. Each per-ID array has room
-	// for n inserted nodes before addNode's appends move it; the control
-	// lists start empty with room for n entries, the heaps with n/2.
-	is := make([]int32, 12*n)
-	bs := make([]bool, 4*n)
-	hs := make([]heapEnt, n)
-	s := &scheduler{
-		g:         g,
-		pv:        pv,
-		md:        md,
-		cycleOf:   is[0 : n : 2*n],
-		slotOf:    is[2*n : 3*n : 4*n],
-		height:    is[4*n : 5*n : 6*n],
-		indeg:     is[6*n : 7*n : 8*n],
-		gen:       is[8*n : 9*n : 10*n],
-		ctrlIdx:   is[10*n : 10*n : 11*n],
-		branchIdx: is[11*n : 11*n : 12*n],
-		done:      bs[0 : n : 2*n],
-		released:  bs[2*n : 3*n : 4*n],
-		readyNow:  hs[0 : 0 : n/2],
-		future:    hs[n/2 : n/2 : n],
-
-		unscheduled: n,
-	}
-	s.stats.RemovedControl = g.RemovedControl
+	// Per-node state is cut from two slabs. Each per-ID array has room for
+	// n inserted nodes before addNode's appends move it; the control lists
+	// start empty with room for n entries.
+	s := schedPool.Get().(*scheduler)
+	s.is, s.bs = zeroed(s.is, 13*n), zeroed(s.bs, 4*n)
+	is, bs := s.is, s.bs
+	s.g, s.pv, s.md = g, pv, md
+	s.cycleOf, s.slotOf = is[0:n:2*n], is[2*n:3*n:4*n]
+	s.height, s.indeg, s.gen = is[4*n:5*n:6*n], is[6*n:7*n:8*n], is[8*n:9*n:10*n]
+	s.ctrlIdx, s.branchIdx = is[10*n:10*n:11*n], is[11*n:11*n:12*n]
+	s.writerIDs = is[12*n : 12*n : 13*n]
+	s.done, s.released = bs[0:n:2*n], bs[2*n:3*n:4*n]
+	s.readyNow, s.future, s.stash = s.readyNow[:0], s.future[:0], s.stash[:0]
+	s.ctrlFront, s.cycle, s.unscheduled = 0, 0, n
+	s.pairs = s.pairs[:0]
+	s.stats = Stats{RemovedControl: g.RemovedControl}
 
 	// Every edge recorded during Build goes from a smaller to a larger
 	// original index, so reverse ID order is a reverse-topological order and
@@ -338,38 +357,66 @@ func scheduleBlock(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, m
 	if err == nil {
 		s.emit(b)
 	}
+	stats := s.stats
+	s.put()
 	g.Release()
-	return s.stats, err
+	return stats, err
+}
+
+// put returns s to schedPool. The writers table is cleared slot by slot
+// from the IDs it lists, so the work stays bounded by the block, and the
+// references into the graph are dropped.
+func (s *scheduler) put() {
+	for _, id := range s.writerIDs {
+		d, _ := s.g.Nodes[id].Instr.Def()
+		s.writerOff[d.Index()], s.writerCnt[d.Index()] = 0, 0
+	}
+	clear(s.regions)
+	clear(s.stores)
+	s.regions, s.stores = s.regions[:0], s.stores[:0]
+	s.g, s.pv = nil, nil
+	schedPool.Put(s)
 }
 
 const physSlots = ir.NumIntRegs + ir.NumFPRegs
 
-// indexWriters fills writerOff/writerIDs before any sentinel is inserted:
-// one counting pass, a prefix sum, and one placement pass.
+// indexWriters fills the writers table before any sentinel is inserted,
+// in work bounded by the block rather than the register file: one pass
+// counts each slot's writers, and one backward pass gives a slot the end
+// of its range at the slot's last writer and fills the range downward, so
+// IDs come out ascending and writerOff ends at the range's start. A slot
+// whose writerOff is still 0 has not been met yet: a met slot's offset
+// stays above its start until its first writer is placed. Slots no
+// instruction writes keep the empty range of the zeroed scheduler.
 func (s *scheduler) indexWriters() {
+	total := int32(0)
 	for _, nd := range s.g.Nodes {
 		if d, ok := nd.Instr.Def(); ok {
-			s.writerOff[d.Index()+1]++
+			s.writerCnt[d.Index()]++
+			total++
 		}
 	}
-	for k := 1; k <= physSlots; k++ {
-		s.writerOff[k] += s.writerOff[k-1]
-	}
-	s.writerIDs = make([]int32, s.writerOff[physSlots])
-	next := s.writerOff
-	for i, nd := range s.g.Nodes {
-		if d, ok := nd.Instr.Def(); ok {
-			k := d.Index()
-			s.writerIDs[next[k]] = int32(i)
-			next[k]++
+	s.writerIDs = s.writerIDs[:total]
+	end := int32(0)
+	for i := len(s.g.Nodes) - 1; i >= 0; i-- {
+		d, ok := s.g.Nodes[i].Instr.Def()
+		if !ok {
+			continue
 		}
+		k := d.Index()
+		if s.writerOff[k] == 0 {
+			end += s.writerCnt[k]
+			s.writerOff[k] = end
+		}
+		s.writerOff[k]--
+		s.writerIDs[s.writerOff[k]] = int32(i)
 	}
 }
 
 // writers returns the IDs of the original instructions defining r.
 func (s *scheduler) writers(r ir.Reg) []int32 {
 	k := r.Index()
-	return s.writerIDs[s.writerOff[k]:s.writerOff[k+1]]
+	return s.writerIDs[s.writerOff[k] : s.writerOff[k]+s.writerCnt[k]]
 }
 
 // readyLess is the pick priority: under recovery, ready control instructions
@@ -967,25 +1014,36 @@ func (s *scheduler) pendingBranchesAbove(nd *depgraph.Node) int {
 // and its confirm in the final schedule (§4.2). Every (cycle, slot) pair is
 // issued at most once, so each node is placed directly at
 // cycle*width+slot; compacting the placement table gives schedule order.
+// The inserted sentinels' instructions belong to the graph, so they are
+// copied into one slab the block owns.
 func (s *scheduler) emit(b *prog.Block) {
 	n := len(s.g.Nodes)
 	width := int32(s.md.IssueWidth)
-	scratch := make([]int32, n+int(s.cycle*width))
-	pos, at := scratch[:n], scratch[n:] // at holds node ID + 1; 0 marks an empty slot
+	s.at = zeroed(s.at, n+int(s.cycle*width))
+	pos, at := s.at[:n], s.at[n:] // at holds node ID + 1; 0 marks an empty slot
 	for id := range n {
 		at[s.cycleOf[id]*width+s.slotOf[id]] = int32(id) + 1
 	}
 	instrs := make([]*ir.Instr, 0, n)
+	var inserted []ir.Instr
+	if k := n - len(b.Instrs); k > 0 {
+		inserted = make([]ir.Instr, 0, k)
+	}
 	for _, e := range at {
 		if e == 0 {
 			continue
 		}
 		id := e - 1
 		nd := s.g.Nodes[id]
-		nd.Instr.Cycle = int(s.cycleOf[id])
-		nd.Instr.Slot = int(s.slotOf[id])
+		in := nd.Instr
+		if nd.Sentinel {
+			inserted = append(inserted, *in)
+			in = &inserted[len(inserted)-1]
+		}
+		in.Cycle = int(s.cycleOf[id])
+		in.Slot = int(s.slotOf[id])
 		pos[id] = int32(len(instrs))
-		instrs = append(instrs, nd.Instr)
+		instrs = append(instrs, in)
 	}
 	for _, pr := range s.pairs {
 		cnt := int64(0)
@@ -994,7 +1052,7 @@ func (s *scheduler) emit(b *prog.Block) {
 				cnt++
 			}
 		}
-		s.g.Nodes[pr.confirm].Instr.Imm = cnt
+		instrs[pos[pr.confirm]].Imm = cnt
 	}
 	b.Instrs = instrs
 }

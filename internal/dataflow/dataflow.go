@@ -49,22 +49,18 @@ func (s RegSet) Diff(t RegSet) RegSet { return RegSet{s[0] &^ t[0], s[1] &^ t[1]
 func (s RegSet) Empty() bool { return s[0] == 0 && s[1] == 0 }
 
 // Regs enumerates the members.
-func (s RegSet) Regs() []ir.Reg {
-	var out []ir.Reg
-	for w := 0; w < 2; w++ {
-		for b := 0; b < 64; b++ {
-			if s[w]&(1<<b) == 0 {
-				continue
-			}
-			idx := w*64 + b
-			if idx < ir.NumIntRegs {
-				out = append(out, ir.R(idx))
-			} else {
-				out = append(out, ir.F(idx-ir.NumIntRegs))
-			}
-		}
+func (s RegSet) Regs() []ir.Reg { return s.AppendRegs(nil) }
+
+// AppendRegs appends the members to dst, integer registers first, each
+// class in register order, and returns the extended slice.
+func (s RegSet) AppendRegs(dst []ir.Reg) []ir.Reg {
+	for m := s[0]; m != 0; m &= m - 1 {
+		dst = append(dst, ir.R(bits.TrailingZeros64(m)))
 	}
-	return out
+	for m := s[1]; m != 0; m &= m - 1 {
+		dst = append(dst, ir.F(bits.TrailingZeros64(m)))
+	}
+	return dst
 }
 
 // AllocFree adds to s the lowest-numbered register of class that s does not

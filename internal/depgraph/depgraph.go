@@ -19,15 +19,18 @@
 // in one arena slice; builder state is fixed arrays indexed by physical
 // register slot (ir.Reg.Index); and the edges recorded during Build share a
 // single backing allocation, with each node's In/Out list a capacity-clamped
-// sub-slice of one shared pointer array so later insertions (sentinels, anti
-// edges discovered during scheduling) reallocate instead of clobbering a
-// neighbour's region.
+// sub-slice of one shared pointer array. Later insertions (sentinels, anti
+// edges discovered during scheduling) take their edges, the lists that
+// outgrow their region, and the inserted instructions from spill slabs
+// owned by the graph, so they never write into a neighbour's region and
+// allocate only while a pooled graph's slabs are still growing.
 //
 // Lifecycle. Build draws a Graph, together with its builder scratch, from a
 // package pool and reslices whatever storage is already large enough;
-// Release hands it back once the caller is done with the graph, its nodes
-// and its edges. Releasing is optional: a graph that is never released is
-// an ordinary garbage-collected value.
+// Release hands it back once the caller is done with the graph, its nodes,
+// its edges and the instructions of its inserted nodes. Releasing is
+// optional: a graph that is never released is an ordinary garbage-collected
+// value.
 package depgraph
 
 import (
@@ -114,6 +117,15 @@ type Graph struct {
 	// links is the shared backing array the per-node In/Out sub-slices are
 	// carved from: In lists from its first half, Out lists from its second.
 	links []*Edge
+	// edgeSpill and linkSpill back the edges inserted after Build and the
+	// In/Out lists those insertions outgrow; a full slab is replaced, never
+	// reallocated, so pointers into it stay valid.
+	edgeSpill []Edge
+	linkSpill []*Edge
+	// inserted holds the instructions of inserted sentinel nodes, with room
+	// for one per original instruction. They belong to the graph: a caller
+	// keeping them past Release copies them out.
+	inserted []ir.Instr
 	// takenLive[i] is the set of registers live when the conditional
 	// branch at original index i is taken (empty for any other node),
 	// looked up once during Build.
@@ -169,6 +181,8 @@ func buildGraph(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, dens
 	n := len(b.Instrs)
 	g.arena = resize(g.arena, n, 2*n)
 	g.Nodes = resize(g.Nodes, n, n)
+	g.inserted = resize(g.inserted, 0, n)
+	g.edgeSpill, g.linkSpill = g.edgeSpill[:0], g.linkSpill[:0]
 	for i, in := range b.Instrs {
 		g.arena[i] = Node{Instr: in, ID: i, Index: i, HomeStart: -1, HomeEnd: n}
 		g.Nodes[i] = &g.arena[i]
@@ -196,11 +210,13 @@ func buildGraph(b *prog.Block, lv *dataflow.Liveness, pv *alias.Provenance, dens
 }
 
 // Release returns g's storage to the pool Build draws from. Neither g nor
-// any of its nodes or edges may be used afterwards. The block's
-// instructions are not part of the graph's storage and stay valid.
+// any of its nodes, edges or inserted instructions may be used afterwards.
+// The block's own instructions are not part of the graph's storage and
+// stay valid.
 func (g *Graph) Release() {
 	clear(g.arena)
 	clear(g.Nodes)
+	clear(g.inserted)
 	g.Block, g.pv = nil, nil
 	graphPool.Put(g)
 }
@@ -256,6 +272,7 @@ type builder struct {
 	liveCnt   [physSlots]int32
 	branchAt  []int32
 	branchRec []int32 // per node: its upward branch edge's record
+	duty      []bool  // markUnprotected's per-node scratch
 }
 
 const physSlots = ir.NumIntRegs + ir.NumFPRegs
@@ -495,13 +512,48 @@ func (bd *builder) finalize() {
 	}
 }
 
-// addEdge inserts an edge after Build has finalized the shared backing; it
-// allocates the edge individually.
+// addEdge inserts an edge after Build has finalized the shared backing,
+// taking it from the edge spill slab.
 func (g *Graph) addEdge(from, to *Node, kind Kind, delay int) *Edge {
-	e := &Edge{From: from, To: to, Kind: kind, Delay: delay}
-	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
+	if len(g.edgeSpill) == cap(g.edgeSpill) {
+		g.edgeSpill = make([]Edge, 0, max(64, 2*cap(g.edgeSpill)))
+	}
+	g.edgeSpill = append(g.edgeSpill, Edge{From: from, To: to, Kind: kind, Delay: delay})
+	e := &g.edgeSpill[len(g.edgeSpill)-1]
+	from.Out = g.appendLink(from.Out, e)
+	to.In = g.appendLink(to.In, e)
 	return e
+}
+
+// appendLink appends e to an In or Out list. A full list moves to a region
+// of twice its length carved from the link spill slab; the region is
+// capacity-clamped like the lists finalize carves.
+func (g *Graph) appendLink(list []*Edge, e *Edge) []*Edge {
+	if len(list) < cap(list) {
+		return append(list, e)
+	}
+	c := max(4, 2*len(list))
+	off := len(g.linkSpill)
+	if cap(g.linkSpill)-off < c {
+		g.linkSpill = make([]*Edge, 0, max(256, 2*cap(g.linkSpill), c))
+		off = 0
+	}
+	g.linkSpill = g.linkSpill[:off+c]
+	moved := g.linkSpill[off : off+len(list) : off+c]
+	copy(moved, list)
+	return append(moved, e)
+}
+
+// newInstr stores in in the graph's inserted-instruction slab, or on the
+// heap past its reserved room.
+func (g *Graph) newInstr(in ir.Instr) *ir.Instr {
+	if len(g.inserted) == cap(g.inserted) {
+		c := new(ir.Instr)
+		*c = in
+		return c
+	}
+	g.inserted = append(g.inserted, in)
+	return &g.inserted[len(g.inserted)-1]
 }
 
 // newNode appends a sentinel node, preferring the arena's reserved capacity
@@ -610,7 +662,10 @@ func (g *Graph) Reduce(md machine.Desc) {
 // sentinel. Stores are handled per §4.2: under the speculative-store model
 // every store is unprotected (its sentinel is a confirm_store).
 func (g *Graph) markUnprotected(md machine.Desc) {
-	duty := make([]bool, len(g.Nodes)) // carries an unchecked exception condition
+	// duty[i]: node i carries an unchecked exception condition.
+	g.bd.duty = resize(g.bd.duty, len(g.Nodes), len(g.Nodes))
+	duty := g.bd.duty
+	clear(duty)
 	for i, nd := range g.Nodes {
 		in := nd.Instr
 		if ir.IsStore(in.Op) {
@@ -675,14 +730,15 @@ func uses(in *ir.Instr, r ir.Reg) bool {
 //   - a control dependence from J to the first control instruction
 //     originally below I, keeping J inside the home block.
 //
-// The caller (the list scheduler) adds J to its unscheduled set.
+// The caller (the list scheduler) adds J to its unscheduled set. J's
+// instruction belongs to the graph until Release (see Graph.inserted).
 func (g *Graph) InsertSentinel(forNode *Node) *Node {
 	in := forNode.Instr
 	d, ok := in.Def()
 	if !ok {
 		panic(fmt.Sprintf("depgraph: sentinel for instruction without destination: %v", in))
 	}
-	chk := ir.CHECK(d)
+	chk := g.newInstr(*ir.CHECK(d))
 	before := len(g.Nodes)
 	j := g.newNode(Node{
 		Instr:     chk,
@@ -710,7 +766,7 @@ func (g *Graph) InsertConfirm(forNode *Node) *Node {
 	if !ir.IsStore(forNode.Instr.Op) {
 		panic("depgraph: InsertConfirm on non-store")
 	}
-	cf := ir.CONFIRM(-1)
+	cf := g.newInstr(*ir.CONFIRM(-1))
 	before := len(g.Nodes)
 	j := g.newNode(Node{
 		Instr:     cf,

@@ -17,6 +17,7 @@ package fingerprint
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"unsafe"
 
 	"sentinel/internal/machine"
 )
@@ -95,13 +96,19 @@ func (f *Buf) MachineDesc(md machine.Desc) {
 	f.U64(uint64(md.MispredictPenalty))
 }
 
-// Program folds the normalized program identity in: the workload name, or
-// the content hash of inline source (never the source itself).
-func (f *Buf) Program(workload, source string) {
+// SourceSum is the content hash that names inline source in every key:
+// the sha256 of its bytes, read in place rather than copied.
+func SourceSum(source string) Key {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(source), len(source)))
+}
+
+// Program folds the normalized program identity in: the workload name, and
+// the content hash of inline source (never the source itself) unless
+// source is nil.
+func (f *Buf) Program(workload string, source *Key) {
 	f.Str(workload)
-	if source != "" {
-		sum := sha256.Sum256([]byte(source))
-		f.Bytes(sum[:])
+	if source != nil {
+		f.Bytes(source[:])
 	}
 }
 
@@ -110,6 +117,16 @@ func (f *Buf) Program(workload, source string) {
 // (for routing, affinity by the underlying program×machine is exactly
 // right even for uncacheable runs — the compile artifacts are shared).
 func Simulate(workload, source string, md machine.Desc) Key {
+	if source == "" {
+		return SimulateSum(workload, nil, md)
+	}
+	sum := SourceSum(source)
+	return SimulateSum(workload, &sum, md)
+}
+
+// SimulateSum is Simulate for a caller that already holds the source's
+// SourceSum (nil without inline source).
+func SimulateSum(workload string, source *Key, md machine.Desc) Key {
 	f := New(TagSimulate)
 	f.Program(workload, source)
 	f.MachineDesc(md)
@@ -118,6 +135,16 @@ func Simulate(workload, source string, md machine.Desc) Key {
 
 // Schedule fingerprints a schedule request (always deterministic).
 func Schedule(workload, source string, md machine.Desc, form bool) Key {
+	if source == "" {
+		return ScheduleSum(workload, nil, md, form)
+	}
+	sum := SourceSum(source)
+	return ScheduleSum(workload, &sum, md, form)
+}
+
+// ScheduleSum is Schedule for a caller that already holds the source's
+// SourceSum (nil without inline source).
+func ScheduleSum(workload string, source *Key, md machine.Desc, form bool) Key {
 	f := New(TagSchedule)
 	f.Program(workload, source)
 	f.MachineDesc(md)
@@ -147,33 +174,28 @@ func Figures(fig4, fig5, table3, overhead, recovery, buffer, faults, sharing, bo
 // the wire, so serving the first one's cached bytes to the second is
 // trivially byte-identical — without decoding anything. Textual variants of
 // the same logical request (field order, whitespace, defaulted fields) miss
-// here and fall through to the canonical keys above.
+// here and fall through to the canonical keys above. Only the tagged,
+// length-prefixed head is serialized, on the stack for a short path and
+// query; the body is hashed in place.
 func RawRequest(path, rawQuery string, body []byte) Key {
-	f := New(TagRaw)
-	f.Str(path)
-	f.Str(rawQuery)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(body)))
-	f.b = append(f.b, n[:]...)
-	f.b = append(f.b, body...)
-	return f.Sum()
+	var a [96]byte
+	head := append(a[:0], TagRaw)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(path)))
+	head = append(head, path...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(rawQuery)))
+	head = append(head, rawQuery...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(body)))
+	h := sha256.New()
+	h.Write(head)
+	h.Write(body)
+	var k Key
+	h.Sum(k[:0])
+	return k
 }
 
-// RawRequestInto is RawRequest over caller-owned scratch, for callers that
-// fingerprint many requests back to back (the batch probe loop): the
-// accumulation buffer is reused across calls instead of escaping per call.
-// Returns the key and the (possibly grown) scratch to carry forward.
+// RawRequestInto is RawRequest for callers that carry scratch from one
+// request to the next; RawRequest needs none, so scratch is returned as
+// given.
 func RawRequestInto(scratch []byte, path, rawQuery string, body []byte) (Key, []byte) {
-	b := append(scratch[:0], TagRaw)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(path)))
-	b = append(b, n[:]...)
-	b = append(b, path...)
-	binary.LittleEndian.PutUint32(n[:], uint32(len(rawQuery)))
-	b = append(b, n[:]...)
-	b = append(b, rawQuery...)
-	binary.LittleEndian.PutUint32(n[:], uint32(len(body)))
-	b = append(b, n[:]...)
-	b = append(b, body...)
-	return sha256.Sum256(b), b
+	return RawRequest(path, rawQuery, body), scratch
 }

@@ -87,6 +87,25 @@ func TestFleetRouterCacheByteIdentity(t *testing.T) {
 	}
 }
 
+// TestFleetFiguresMalformedQuery: a /v1/figures query the backend refuses
+// as malformed comes back through the router as the backend's 400
+// bad_request, and a repeat crosses the hop again instead of being served
+// from the front cache.
+func TestFleetFiguresMalformedQuery(t *testing.T) {
+	_, _, router := startFleet(t, 2, nil)
+	for _, q := range []string{"section=%zz", "section=fig4;x"} {
+		for i := 0; i < 2; i++ {
+			got := get(t, router, "/v1/figures?"+q)
+			if got.status != http.StatusBadRequest || !bytes.Contains(got.body, []byte(`"bad_request"`)) {
+				t.Fatalf("%s #%d: %d %s, want 400 bad_request", q, i, got.status, got.body)
+			}
+			if got.backend == "cache" || got.backend == "" {
+				t.Fatalf("%s #%d: answered by %q, want a backend", q, i, got.backend)
+			}
+		}
+	}
+}
+
 // TestFleetCacheBypass pins the discipline that keeps the cache honest:
 // bypass ops (full traces, fault injection) and refusals the backend must
 // produce itself are never served from the front cache, even when a close

@@ -208,25 +208,6 @@ func (g *fillGroup) resolve(k fingerprint.Key, c *fillCall, body []byte, ctype s
 	close(c.done)
 }
 
-// fpScratch pools the raw-fingerprint accumulation buffer, mirroring the
-// backends' own warm path (fingerprint.RawRequestInto): the warm hit must
-// not pay an allocation just to compute its key.
-var fpScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// rawRequestKey fingerprints a request's exact bytes over pooled scratch.
-func rawRequestKey(path, rawQuery string, body []byte) fingerprint.Key {
-	sp := fpScratchPool.Get().(*[]byte)
-	k, b := fingerprint.RawRequestInto(*sp, path, rawQuery, body)
-	if cap(b) <= 1<<20 {
-		*sp = b
-		fpScratchPool.Put(sp)
-	}
-	return k
-}
-
 // bodyBuf is the pooled request-body scratch for the proxy path: the
 // accumulation buffer and the limit reader bounding it, recycled per
 // request so the per-proxy io.ReadAll allocation is gone from the warm

@@ -466,7 +466,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	var rd *obs.Record
 	var rawK fingerprint.Key
 	if probeable {
-		rawK = rawRequestKey(r.URL.Path, r.URL.RawQuery, body)
+		rawK = fingerprint.RawRequest(r.URL.Path, r.URL.RawQuery, body)
 		if rt.rec.SampleWarm() {
 			rd = rt.rec.Begin(r.URL.Path)
 			rd.SetID(clientID)

@@ -347,8 +347,11 @@ func (k ExcKind) String() string {
 }
 
 // Instr is one MIR instruction. Instructions are mutated by the scheduler
-// (Spec modifier, Cycle/Slot assignment) and are therefore always handled by
-// pointer; Clone produces deep copies for tail duplication and unrolling.
+// (Spec modifier, Cycle/Slot assignment) and are therefore handled by
+// pointer once they belong to a program; the compile path builds them as
+// values and copies them into the slab of the block they fill
+// (prog.Slab). A copy is a plain assignment: Instr holds no reference
+// fields other than strings, which are immutable.
 type Instr struct {
 	Op     Op
 	Dest   Reg
@@ -382,14 +385,13 @@ type Instr struct {
 	PC int
 }
 
-// New returns an unscheduled instruction with the given opcode.
-func New(op Op) *Instr { return &Instr{Op: op, TargetIndex: -1, Cycle: -1, Slot: -1, PC: -1} }
+// Make returns an unscheduled instruction with the given opcode, by value.
+func Make(op Op) Instr { return Instr{Op: op, TargetIndex: -1, Cycle: -1, Slot: -1, PC: -1} }
 
-// Clone returns a deep copy of i (Instr contains no reference fields other
-// than strings, which are immutable).
-func (i *Instr) Clone() *Instr {
-	c := *i
-	return &c
+// New returns a new unscheduled instruction with the given opcode.
+func New(op Op) *Instr {
+	i := Make(op)
+	return &i
 }
 
 // Uses returns the source registers read by i, excluding invalid operands

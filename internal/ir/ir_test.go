@@ -2,7 +2,6 @@ package ir
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestRegConstruction(t *testing.T) {
@@ -180,17 +179,6 @@ func TestSelfModifying(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	i := LOAD(Ld, R(1), R(2), 16)
-	c := i.Clone()
-	c.Dest = R(9)
-	c.Spec = true
-	c.Cycle = 4
-	if i.Dest != R(1) || i.Spec || i.Cycle != -1 {
-		t.Error("Clone must not alias the original")
-	}
-}
-
 func TestNewDefaults(t *testing.T) {
 	i := New(Add)
 	if i.Cycle != -1 || i.Slot != -1 || i.PC != -1 || i.Spec {
@@ -260,22 +248,5 @@ func TestAllOpcodesWellFormed(t *testing.T) {
 		if IsBranch(op) && !IsControl(op) {
 			t.Errorf("%v branch must be control", op)
 		}
-	}
-}
-
-// Property-based: cloning then mutating arbitrary fields never affects the
-// original instruction.
-func TestCloneIndependenceQuick(t *testing.T) {
-	f := func(op uint8, imm int64, spec bool, cyc int16) bool {
-		i := New(Op(op % uint8(numOps)))
-		i.Imm = imm
-		c := i.Clone()
-		c.Spec = spec
-		c.Cycle = int(cyc)
-		c.Imm = imm + 1
-		return i.Imm == imm && !i.Spec == true && i.Cycle == -1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

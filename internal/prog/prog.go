@@ -33,13 +33,30 @@ type Block struct {
 // any length costs three allocations.
 func (b *Block) Clone() *Block {
 	nb := &Block{Label: b.Label, Superblock: b.Superblock, WeightHint: b.WeightHint}
-	slab := make([]ir.Instr, len(b.Instrs))
-	nb.Instrs = make([]*ir.Instr, len(b.Instrs))
+	var slab []ir.Instr
+	slab, nb.Instrs = Slab(len(b.Instrs))
 	for i, in := range b.Instrs {
 		slab[i] = *in
-		nb.Instrs[i] = &slab[i]
 	}
 	return nb
+}
+
+// Slab allocates the instruction storage of one block: n instructions in
+// one slab of exactly that length, and ptrs[i] == &slab[i] for the block's
+// Instrs. The caller fills slab. Every compile step that makes a block's
+// instructions draws them from its own slab, never from storage shared
+// with another block, so the slab dies with its block (DESIGN.md
+// "Instruction storage"). It is two allocations, none for n == 0.
+func Slab(n int) (slab []ir.Instr, ptrs []*ir.Instr) {
+	if n == 0 {
+		return nil, nil
+	}
+	slab = make([]ir.Instr, n)
+	ptrs = make([]*ir.Instr, n)
+	for i := range slab {
+		ptrs[i] = &slab[i]
+	}
+	return slab, ptrs
 }
 
 // Program is an ordered list of blocks; execution starts at Entry (the first

@@ -202,17 +202,13 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 	// admission beyond the batch's own slot, no pipeline.
 	cold := make([]int, 0, len(elems))
 	rd.Start(obs.StageRespCache, obs.ArgRaw)
-	fp := getFrameBuf()
 	for i := range elems {
-		var k respKey
-		k, fp.b = rawRequestKeyInto(fp.b, elems[i].path(), "", elems[i].payload)
-		if body, _, ok := s.resp.Get(k); ok {
+		if body, _, ok := s.resp.Get(rawRequestKey(elems[i].path(), "", elems[i].payload)); ok {
 			emit(i, http.StatusOK, body)
 			continue
 		}
 		cold = append(cold, i)
 	}
-	putFrameBuf(fp)
 	rd.End()
 	if len(cold) == 0 {
 		return

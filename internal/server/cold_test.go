@@ -1,12 +1,19 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"sentinel/internal/ir"
+	"sentinel/internal/machine"
+	"sentinel/internal/prog"
 )
 
 // coldKernel is MIR assembly in the workload kernels' scheduling shape: a
@@ -112,10 +119,12 @@ func coldScheduleLoop(tb testing.TB, s *Server, bodies [][]byte) func() {
 
 // maxColdScheduleAllocs bounds the allocations of one cold /v1/schedule of
 // coldKernel: decode, parse, reference run, superblock formation,
-// scheduling and the encoded response. The count was 754; it was 1605
-// before the request codec, the owned-program formation and schedule and
-// the allocation-free compile helpers.
-const maxColdScheduleAllocs = 770
+// scheduling and the encoded response. The count is 217 since every
+// compile step draws its instructions from block slabs (DESIGN.md
+// "Instruction storage") and the scheduler's per-block state is pooled;
+// it was 734 before, and 1605 before the request codec, the owned-program
+// formation and schedule and the allocation-free compile helpers.
+const maxColdScheduleAllocs = 233
 
 // TestColdScheduleAllocs pins the cold compile path's allocation count, a
 // host-independent bound on the work a cold inline-source request does.
@@ -149,5 +158,55 @@ func BenchmarkServeScheduleCold(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		next()
+	}
+}
+
+// maxCompiledBytesPerInstr bounds the heap a cached compiled program
+// retains per instruction: the instruction itself (ir.Instr, 88 bytes),
+// its pointer in the block's list, and each block's share of its header,
+// label and slab rounding. It reads 108-114 with a slab per block, 139
+// with an object per instruction and the source text pinned by the
+// labels, and 164-168 when the slabs are carved from 128-instruction
+// chunks shared across blocks and programs.
+const maxCompiledBytesPerInstr = 132
+
+// TestCompiledProgramFootprint bounds the heap a cached compiled program
+// retains per instruction. A compile makes instructions in every step
+// (parse, trace merging, tail duplication, unrolling, sentinel insertion)
+// and each step's slab belongs to the one block it fills, so the slabs of
+// the dropped intermediate blocks die with them; instruction storage
+// shared across blocks or programs would keep them alive behind the
+// survivors. The sources are dropped after compiling, so a program that
+// pinned its source text would show here too.
+func TestCompiledProgramFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes the heap")
+	}
+	md := machine.Base(8, machine.Sentinel)
+	const n = 64
+	progs := make([]*prog.Program, n)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	instrs := 0
+	for i := range progs {
+		c, err := compileSource(context.Background(), fmt.Sprintf("; footprint %d\n%s", i, coldKernel), md, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[i] = c.prog
+		for _, b := range c.prog.Blocks {
+			instrs += len(b.Instrs)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(instrs)
+	runtime.KeepAlive(progs)
+	t.Logf("%d programs, %d instructions: %.1f bytes retained per instruction (ir.Instr is %d)",
+		n, instrs, per, unsafe.Sizeof(ir.Instr{}))
+	if per > maxCompiledBytesPerInstr {
+		t.Fatalf("a compiled program retains %.1f bytes per instruction, want at most %d",
+			per, maxCompiledBytesPerInstr)
 	}
 }

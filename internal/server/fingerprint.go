@@ -24,21 +24,27 @@ func rawRequestKey(path, rawQuery string, body []byte) respKey {
 	return fingerprint.RawRequest(path, rawQuery, body)
 }
 
-// rawRequestKeyInto is rawRequestKey over caller-owned scratch (the batch
-// probe loop reuses one buffer across elements).
-func rawRequestKeyInto(scratch []byte, path, rawQuery string, body []byte) (respKey, []byte) {
-	return fingerprint.RawRequestInto(scratch, path, rawQuery, body)
+// sourceSum hashes a request's inline source (fingerprint.SourceSum) once,
+// for both its response key and its compile-cache key; nil when the
+// request names a workload instead.
+func sourceSum(spec *ProgramSpec) *respKey {
+	if spec.Source == "" {
+		return nil
+	}
+	sum := fingerprint.SourceSum(spec.Source)
+	return &sum
 }
 
-// simulateKey fingerprints a cacheable simulate request. Callers must have
-// ruled out fault injection and Full runs first.
-func simulateKey(req *SimulateRequest, md machine.Desc) respKey {
-	return fingerprint.Simulate(req.Workload, req.Source, md)
+// simulateKey fingerprints a cacheable simulate request whose source hash
+// is sum. Callers must have ruled out fault injection and Full runs first.
+func simulateKey(req *SimulateRequest, sum *respKey, md machine.Desc) respKey {
+	return fingerprint.SimulateSum(req.Workload, sum, md)
 }
 
-// scheduleKey fingerprints a schedule request (always deterministic).
-func scheduleKey(req *ScheduleRequest, md machine.Desc, form bool) respKey {
-	return fingerprint.Schedule(req.Workload, req.Source, md, form)
+// scheduleKey fingerprints a schedule request (always deterministic) whose
+// source hash is sum.
+func scheduleKey(req *ScheduleRequest, sum *respKey, md machine.Desc, form bool) respKey {
+	return fingerprint.ScheduleSum(req.Workload, sum, md, form)
 }
 
 // FiguresKey fingerprints a figures request by its resolved section set.

@@ -6,11 +6,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"time"
@@ -111,9 +111,10 @@ func respPredictor(md machine.Desc) string {
 
 // prepared resolves a ProgramSpec into compile artifacts: workload kernels
 // through the Runner's caches, inline source through the content-hash
-// cache. Only a simulation needs an inline source's memory image and
-// simulator index, so a schedule (simulate false) gets neither.
-func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, form, simulate bool) (eval.Prepared, error) {
+// cache, keyed by sum, the source's sourceSum. Only a simulation needs an
+// inline source's memory image and simulator index, so a schedule
+// (simulate false) gets neither.
+func (s *Server) prepared(r *http.Request, spec ProgramSpec, sum *respKey, md machine.Desc, form, simulate bool) (eval.Prepared, error) {
 	ctx := r.Context()
 	switch {
 	case spec.Workload != "" && spec.Source != "":
@@ -135,7 +136,7 @@ func (s *Server) prepared(r *http.Request, spec ProgramSpec, md machine.Desc, fo
 		// consults the predictor), so the source cache keys by the compile
 		// view and shares one entry across predictors.
 		cmd := md.CompileView()
-		key := sourceKey{sum: sha256.Sum256([]byte(spec.Source)), md: cmd, form: form}
+		key := sourceKey{sum: *sum, md: cmd, form: form}
 		c, err := s.sources.Get(ctx, key, func() (*compiled, error) {
 			return compileSource(ctx, spec.Source, cmd, form)
 		})
@@ -216,7 +217,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 
 	// Schedules are a pure function of (program, machine, formation): every
 	// repeat is served straight from the response-byte cache.
-	key := scheduleKey(req, md, form)
+	sum := sourceSum(&req.ProgramSpec)
+	key := scheduleKey(req, sum, md, form)
 	rd := obs.RecordFrom(r.Context())
 	rd.SetFingerprint(key[:])
 	rd.SetPredictor(md.Predictor.String())
@@ -229,7 +231,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	}
 	rd.SetTier(tierFull)
 
-	p, err := s.prepared(r, req.ProgramSpec, md, form, false)
+	p, err := s.prepared(r, req.ProgramSpec, sum, md, form, false)
 	if err != nil {
 		return err
 	}
@@ -283,9 +285,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	rd.SetPredictor(md.Predictor.String())
 	rd.SetTier(tierFull)
 	cacheable := req.FaultSegment == "" && !req.Full
+	sum := sourceSum(&req.ProgramSpec)
 	var key respKey
 	if cacheable {
-		key = simulateKey(req, md)
+		key = simulateKey(req, sum, md)
 		rd.SetFingerprint(key[:])
 		rd.Start(obs.StageRespCache, obs.ArgCanon)
 		hit := s.resp.Serve(w, key)
@@ -326,7 +329,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	// Full path: a per-request simulation over cached compile artifacts —
 	// inline source, fault injection, or an explicit Full run that needs
 	// the program output and memory checksum.
-	p, err := s.prepared(r, req.ProgramSpec, md, true, true)
+	p, err := s.prepared(r, req.ProgramSpec, sum, md, true, true)
 	if err != nil {
 		return err
 	}
@@ -378,7 +381,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) error {
-	secs, unknown, ok := eval.SectionsByName(r.URL.Query()["section"])
+	// URL.Query would drop a pair it cannot parse and render the sections
+	// that survived; a malformed query is refused instead.
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		return apiErrorf(http.StatusBadRequest, KindBadRequest, "invalid query: %v", err)
+	}
+	secs, unknown, ok := eval.SectionsByName(q["section"])
 	if !ok {
 		return apiErrorf(http.StatusBadRequest, KindBadRequest,
 			"unknown section %q (want fig4, fig5, table3, overhead, recovery, buffer, faults, sharing, boosting, prediction, all)", unknown)
@@ -403,7 +412,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) error {
 	// (the record is single-goroutine; see parallelForCtx).
 	rd.Start(obs.StageSimulate, obs.ArgNone)
 	var buf bytes.Buffer
-	err := eval.RenderSections(r.Context(), secs, s.runner, &buf)
+	err = eval.RenderSections(r.Context(), secs, s.runner, &buf)
 	rd.End()
 	if err != nil {
 		return err

@@ -337,6 +337,27 @@ func TestFiguresUnknownSection400(t *testing.T) {
 	}
 }
 
+// TestFiguresMalformedQuery400: a query url.ParseQuery refuses (a bad
+// percent escape, a semicolon separator) is a 400 bad_request, not a
+// render of whichever section names survived the parse.
+func TestFiguresMalformedQuery400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, q := range []string{"section=%zz", "section=fig4;x"} {
+		resp, err := http.Get(ts.URL + "/v1/figures?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%d bytes)", q, resp.StatusCode, len(body))
+		}
+		if ae := decodeError(t, body); ae.Kind != KindBadRequest {
+			t.Errorf("%s: kind = %q, want %q", q, ae.Kind, KindBadRequest)
+		}
+	}
+}
+
 // TestRequestTimeout504: a 1ms deadline cannot complete a cold full-matrix
 // figure render; the typed timeout error must come back, not a hang or 500.
 func TestRequestTimeout504(t *testing.T) {

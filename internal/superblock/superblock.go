@@ -17,7 +17,9 @@ package superblock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"sentinel/internal/dataflow"
 	"sentinel/internal/ir"
@@ -73,6 +75,8 @@ func Form(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 // up in the result. Nothing else may hold p. The result is laid out.
 func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program {
 	opts = opts.WithDefaults()
+	scratch := scratchPool.Get().(*[]ir.Instr)
+	defer putScratch(scratch)
 
 	traces := selectTraces(p, prof, opts)
 	n := len(p.Blocks)
@@ -86,7 +90,7 @@ func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program 
 	merged, dup := make([]*prog.Block, n), make([]*prog.Block, n)
 	var dupOf []int32
 	for _, tr := range traces {
-		merged[tr[0]], last[tr[0]] = mergeTrace(p, prof, tr), tr[len(tr)-1]
+		merged[tr[0]], last[tr[0]] = mergeTrace(p, prof, tr, scratch), tr[len(tr)-1]
 		for _, i := range tr {
 			head[i] = tr[0]
 		}
@@ -173,12 +177,12 @@ func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program 
 			wantAfter = append(wantAfter, want[k])
 			continue
 		}
-		if main, rem, ok := unrollCounted(b, k, opts, lv, &used); ok {
+		if main, rem, ok := unrollCounted(b, k, opts, lv, &used, scratch); ok {
 			blocks = append(blocks, main, rem)
 			wantAfter = append(wantAfter, want[k], "")
 			continue
 		}
-		out := unroll(b, k, want[k], int32(v.Index(want[k])), opts, lv, &used)
+		out := unroll(b, k, want[k], int32(v.Index(want[k])), opts, lv, &used, scratch)
 		blocks = append(blocks, out...)
 		wantAfter = append(wantAfter, want[k])
 		for range out[1:] {
@@ -194,11 +198,30 @@ func FormOwned(p *prog.Program, prof *prog.Profile, opts Options) *prog.Program 
 	// follows it gets an explicit jump.
 	for i, b := range np.Blocks {
 		if w := missingFallthrough(np, i, wantAfter[i]); w != "" {
-			b.Instrs = append(b.Instrs, ir.JMP(w))
+			ins := make([]*ir.Instr, len(b.Instrs)+1)
+			copy(ins, b.Instrs)
+			ins[len(b.Instrs)] = ir.JMP(w)
+			b.Instrs = ins
 		}
 	}
 	np.Layout()
 	return np
+}
+
+// scratchPool recycles the instruction scratch in which formation builds
+// merged and unrolled bodies before copying each into its block's slab.
+var scratchPool = sync.Pool{New: func() any { return new([]ir.Instr) }}
+
+// putScratch clears scratch, so the pool pins no program's strings, and
+// returns it to the pool unless it grew past any default-sized superblock.
+func putScratch(scratch *[]ir.Instr) {
+	s := (*scratch)[:cap(*scratch)]
+	if len(s) > 4096 {
+		return
+	}
+	clear(s)
+	*scratch = s[:0]
+	scratchPool.Put(scratch)
 }
 
 // missingFallthrough returns want, the label block i must reach when it
@@ -350,18 +373,20 @@ func invertBranch(op ir.Op) ir.Op {
 
 // mergeTrace concatenates the trace blocks into one superblock, flipping
 // branches so that staying on the trace is always the fall-through path and
-// side exits are the taken paths.
-func mergeTrace(p *prog.Program, prof *prog.Profile, tr []int32) *prog.Block {
+// side exits are the taken paths. The merged body is built in scratch and
+// copied into the superblock's own slab.
+func mergeTrace(p *prog.Program, prof *prog.Profile, tr []int32, scratch *[]ir.Instr) *prog.Block {
 	sb := &prog.Block{
 		Label:      p.Blocks[tr[0]].Label,
 		Superblock: true,
 		WeightHint: prof.Blocks[tr[0]],
 	}
+	vals := (*scratch)[:0]
 	for ti, bi := range tr {
 		b := p.Blocks[bi]
 		last := ti == len(tr)-1
 		for ii, in := range b.Instrs {
-			c := in.Clone()
+			c := *in
 			terminal := ii == len(b.Instrs)-1
 			if !last && terminal {
 				next := tr[ti+1]
@@ -384,10 +409,27 @@ func mergeTrace(p *prog.Program, prof *prog.Profile, tr []int32) *prog.Block {
 					// Plain fall-through into the next trace block.
 				}
 			}
-			sb.Instrs = append(sb.Instrs, c)
+			vals = append(vals, c)
 		}
 	}
+	sb.Instrs = own(vals)
+	*scratch = vals
 	return sb
+}
+
+// own copies the instructions of parts, in order, into one new block slab
+// (prog.Slab) and returns the block's instruction list.
+func own(parts ...[]ir.Instr) []*ir.Instr {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	slab, ptrs := prog.Slab(n)
+	off := 0
+	for _, part := range parts {
+		off += copy(slab[off:], part)
+	}
+	return ptrs
 }
 
 // unroll replicates a self-loop superblock body. The back edge of every
@@ -397,7 +439,11 @@ func mergeTrace(p *prog.Program, prof *prog.Profile, tr []int32) *prog.Block {
 // unrolled iterations; the architectural values expected by exit paths are
 // restored by per-exit compensation stubs, keeping the hot path free of
 // maintenance moves (the superblock compensation-code technique).
-func unroll(sb *prog.Block, k int, exitLabel string, exitIdx int32, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) []*prog.Block {
+//
+// The copies are values in scratch, rewritten there, and copied into the
+// unrolled block's slab once they are final; each stub gets a slab of its
+// own.
+func unroll(sb *prog.Block, k int, exitLabel string, exitIdx int32, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet, scratch *[]ir.Instr) []*prog.Block {
 	if opts.Unroll <= 1 || len(sb.Instrs) == 0 {
 		return []*prog.Block{sb}
 	}
@@ -417,33 +463,48 @@ func unroll(sb *prog.Block, k int, exitLabel string, exitIdx int32, opts Options
 		return []*prog.Block{sb} // conditional back edge with nowhere to fall through
 	}
 	body := sb.Instrs[:len(sb.Instrs)-1]
-	copies := make([][]*ir.Instr, factor)
+	vals := (*scratch)[:0]
+	ends := make([]int, factor)
 	for k := 0; k < factor; k++ {
 		for _, in := range body {
-			copies[k] = append(copies[k], in.Clone())
+			vals = append(vals, *in)
 		}
 		if k < factor-1 {
 			if ir.IsBranch(last.Op) {
-				exit := last.Clone()
+				exit := *last
 				exit.Op = invertBranch(exit.Op)
 				exit.Target, exit.TargetIndex = exitLabel, exitIdx
-				copies[k] = append(copies[k], exit)
+				vals = append(vals, exit)
 			}
 			// An unconditional back edge just flows into the next copy.
 		} else {
-			copies[k] = append(copies[k], last.Clone())
+			vals = append(vals, *last)
 		}
+		ends[k] = len(vals)
 	}
-	recs := expandInductions(copies, used)
-	recs = append(recs, expandLocals(int32(k), copies, lv, used)...)
-	stubs := buildExitStubs(sb.Label, copies, recs, lv)
+	*scratch = vals
+	copies := make([][]ir.Instr, factor)
+	cutCopies(copies, vals, ends)
+	recs := expandInductions(nil, copies, used)
+	recs = expandLocals(recs, int32(k), copies, lv, used)
+	blocks := buildExitStubs(make([]*prog.Block, 1, 1+len(recs)), sb.Label, copies, recs, lv)
 	insertFallthroughMovs(copies, recs, exitIdx, lv)
+	blocks[0] = &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint,
+		Instrs: own(copies...)}
+	return blocks
+}
 
-	out := &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint}
-	for _, c := range copies {
-		out.Instrs = append(out.Instrs, c...)
+// cutCopies splits vals at ends into copies, the per-copy views the
+// expansions rewrite. Every view but the last has its capacity clamped;
+// the last one, which alone gains moves, may grow into vals' spare
+// capacity.
+func cutCopies(copies [][]ir.Instr, vals []ir.Instr, ends []int) {
+	start := 0
+	for k, end := range ends[:len(ends)-1] {
+		copies[k] = vals[start:end:end]
+		start = end
 	}
-	return append([]*prog.Block{out}, stubs...)
+	copies[len(copies)-1] = vals[start:ends[len(ends)-1]]
 }
 
 // unrollCounted unrolls a counted self-loop superblock — the IMPACT-style
@@ -463,7 +524,7 @@ func unroll(sb *prog.Block, k int, exitLabel string, exitIdx int32, opts Options
 //	L.rem:  bge rI, N, exit
 //	        body
 //	        jmp L.rem
-func unrollCounted(sb *prog.Block, k int, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet) (main, rem *prog.Block, ok bool) {
+func unrollCounted(sb *prog.Block, k int, opts Options, lv *dataflow.Liveness, used *dataflow.RegSet, scratch *[]ir.Instr) (main, rem *prog.Block, ok bool) {
 	if opts.Unroll <= 1 || len(sb.Instrs) < 3 {
 		return nil, nil, false
 	}
@@ -500,32 +561,38 @@ func unrollCounted(sb *prog.Block, k int, opts Options, lv *dataflow.Liveness, u
 	}
 
 	remLabel := sb.Label + ".rem"
-	guard := test.Clone()
+	guard := *test
 	guard.Imm = test.Imm - int64(factor-1)*step
 	guard.Target = remLabel
 
-	copies := make([][]*ir.Instr, factor)
-	for k := 0; k < factor; k++ {
+	vals := (*scratch)[:0]
+	ends := make([]int, factor)
+	for k := range ends {
 		for _, in := range body {
-			copies[k] = append(copies[k], in.Clone())
+			vals = append(vals, *in)
 		}
+		ends[k] = len(vals)
 	}
-	expandInductions(copies, used)
-	expandLocals(int32(k), copies, lv, used)
-
-	main = &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint}
-	main.Instrs = append(main.Instrs, guard)
-	for _, c := range copies {
-		main.Instrs = append(main.Instrs, c...)
-	}
-	main.Instrs = append(main.Instrs, ir.JMP(sb.Label))
+	*scratch = vals
+	// parts is the main loop: the guard, the copies, the back edge.
+	parts := make([][]ir.Instr, factor+2)
+	copies := parts[1 : factor+1]
+	cutCopies(copies, vals, ends)
+	expandInductions(nil, copies, used)
+	expandLocals(nil, int32(k), copies, lv, used)
+	parts[0] = []ir.Instr{guard}
+	parts[factor+1] = []ir.Instr{*ir.JMP(sb.Label)}
+	main = &prog.Block{Label: sb.Label, Superblock: true, WeightHint: sb.WeightHint,
+		Instrs: own(parts...)}
 
 	rem = &prog.Block{Label: remLabel, Superblock: true, WeightHint: sb.WeightHint}
-	rem.Instrs = append(rem.Instrs, test.Clone())
-	for _, in := range body {
-		rem.Instrs = append(rem.Instrs, in.Clone())
+	var slab []ir.Instr
+	slab, rem.Instrs = prog.Slab(len(body) + 2)
+	slab[0] = *test
+	for i, in := range body {
+		slab[i+1] = *in
 	}
-	rem.Instrs = append(rem.Instrs, ir.JMP(remLabel))
+	slab[len(slab)-1] = *ir.JMP(remLabel)
 	return main, rem, true
 }
 
@@ -561,6 +628,9 @@ func (r *renameRec) nameAt(k, i int) ir.Reg {
 	return r.arch
 }
 
+// physSlots is the number of register slots (ir.Reg.Index).
+const physSlots = ir.NumIntRegs + ir.NumFPRegs
+
 // expandInductions applies the paper's renaming transformation (§3.7
 // footnote 4) to loop induction variables in an unrolled superblock: an
 // increment "add rI, rI, C" is split into an addition writing a fresh
@@ -573,48 +643,55 @@ func (r *renameRec) nameAt(k, i int) ir.Reg {
 // the whole address chain can be hoisted to the top of the block; a single
 // move at the end of the last copy maintains the architectural register for
 // the back edge, and side exits are repaired by compensation stubs built
-// from the returned records. Pure accumulators (used by nothing but their
-// own increment) are left alone: expansion could only cost slots.
-func expandInductions(copies [][]*ir.Instr, used *dataflow.RegSet) []renameRec {
+// from the records appended to recs. Pure accumulators (used by nothing but
+// their own increment) are left alone: expansion could only cost slots.
+func expandInductions(recs []renameRec, copies [][]ir.Instr, used *dataflow.RegSet) []renameRec {
 	if len(copies) < 2 {
-		return nil
+		return recs
 	}
 	proto := copies[0]
-	defCount := map[ir.Reg]int{}
-	addPos := map[ir.Reg]int{}
-	for i, in := range proto {
+	// Per register slot: its definitions in the prototype copy, and the
+	// position+1 of its last increment (0 for none).
+	var defCount, addPos [physSlots]int32
+	for i := range proto {
+		in := &proto[i]
 		if d, ok := in.Def(); ok {
-			defCount[d]++
+			defCount[d.Index()]++
 			if in.Op == ir.Add && !in.Src2.Valid() && in.Src1 == d {
-				addPos[d] = i
+				addPos[d.Index()] = int32(i) + 1
 			}
 		}
 	}
-	var cands []ir.Reg
-	for r, pos := range addPos {
-		if defCount[r] != 1 {
+	// Slot order is class, then number: cands comes out sorted.
+	var candBuf [physSlots]ir.Reg
+	cands := candBuf[:0]
+	for s := range addPos {
+		if addPos[s] == 0 || defCount[s] != 1 {
 			continue
 		}
-		usedInCopy := false
-		for i, in := range proto {
+		r := proto[addPos[s]-1].Dest
+		pos := int(addPos[s] - 1)
+		for i := range proto {
 			if i == pos {
 				continue
 			}
-			if u1, u2 := in.Uses2(); u1 == r || u2 == r {
-				usedInCopy = true
+			if u1, u2 := proto[i].Uses2(); u1 == r || u2 == r {
+				cands = append(cands, r)
+				break
 			}
 		}
-		if usedInCopy {
-			cands = append(cands, r)
-		}
 	}
-	sortRegs(cands)
-	var recs []renameRec
-	for _, r := range cands {
-		names := make([]ir.Reg, len(copies)+1)
+	if len(cands) == 0 {
+		return recs
+	}
+	nc := len(copies)
+	names := make([]ir.Reg, len(cands)*(nc+1))
+	posBack := make([]int, len(cands)*nc)
+	for ci, r := range cands {
+		names := names[ci*(nc+1) : (ci+1)*(nc+1) : (ci+1)*(nc+1)]
 		names[0] = r
 		ok := true
-		for k := 1; k <= len(copies); k++ {
+		for k := 1; k <= nc; k++ {
 			if names[k], ok = used.AllocFree(r.Class); !ok {
 				break
 			}
@@ -622,10 +699,11 @@ func expandInductions(copies [][]*ir.Instr, used *dataflow.RegSet) []renameRec {
 		if !ok {
 			return recs // register file exhausted
 		}
-		rec := renameRec{arch: r, induction: true, names: names, pos: make([]int, len(copies))}
+		rec := renameRec{arch: r, induction: true, names: names, pos: posBack[ci*nc : (ci+1)*nc : (ci+1)*nc]}
 		for k := range copies {
 			pos := -1
-			for i, in := range copies[k] {
+			for i := range copies[k] {
+				in := &copies[k][i]
 				if in.Op == ir.Add && !in.Src2.Valid() && in.Dest == r && in.Src1 == r {
 					pos = i
 					break
@@ -635,27 +713,23 @@ func expandInductions(copies [][]*ir.Instr, used *dataflow.RegSet) []renameRec {
 				continue
 			}
 			rec.pos[k] = pos
-			var rewritten []*ir.Instr
-			for i, in := range copies[k] {
-				cur, next := names[k], names[k+1]
+			cur, next := names[k], names[k+1]
+			for i := range copies[k] {
+				in := &copies[k][i]
 				switch {
 				case i == pos:
 					in.Dest, in.Src1 = next, cur
-					rewritten = append(rewritten, in)
-					if k == len(copies)-1 {
-						// Maintain the architectural register for the back
-						// edge and the fall-through exit.
-						rewritten = append(rewritten, ir.MOV(r, next))
-					}
-					continue
 				case i < pos:
 					renameUse(in, r, cur)
 				default:
 					renameUse(in, r, next)
 				}
-				rewritten = append(rewritten, in)
 			}
-			copies[k] = rewritten
+			if k == nc-1 {
+				// Maintain the architectural register for the back edge
+				// and the fall-through exit.
+				copies[k] = slices.Insert(copies[k], pos+1, *ir.MOV(r, next))
+			}
 		}
 		recs = append(recs, rec)
 	}
@@ -671,26 +745,16 @@ func renameUse(in *ir.Instr, from, to ir.Reg) {
 	}
 }
 
-func sortRegs(regs []ir.Reg) {
-	sort.Slice(regs, func(i, j int) bool {
-		a, b := regs[i], regs[j]
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.N < b.N
-	})
-}
-
 // expandLocals renames iteration-local registers to a fresh register per
 // unrolled copy ("register expansion"): a register qualifies when its first
 // reference is a definition in EVERY copy (it carries nothing between
 // iterations) and it is not live around the back edge. Values that side-exit
 // paths expect under the original name are restored by compensation stubs
-// built from the returned records (registers needed by no exit return no
-// record).
-func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used *dataflow.RegSet) []renameRec {
+// built from the records appended to recs (registers needed by no exit get
+// no record).
+func expandLocals(recs []renameRec, head int32, copies [][]ir.Instr, lv *dataflow.Liveness, used *dataflow.RegSet) []renameRec {
 	if len(copies) < 2 {
-		return nil
+		return recs
 	}
 	proto := copies[0]
 	// firstIsDef collects the registers whose first reference is a
@@ -698,7 +762,8 @@ func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used 
 	var firstIsDef dataflow.RegSet
 	for ci, c := range copies {
 		var seen, local dataflow.RegSet
-		for _, in := range c {
+		for i := range c {
+			in := &c[i]
 			u1, u2 := in.Uses2()
 			for _, u := range [2]ir.Reg{u1, u2} {
 				if u.Valid() {
@@ -717,19 +782,20 @@ func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used 
 		}
 	}
 	loopIn := lv.In[head]
-	var cands []ir.Reg
+	var regBuf, candBuf [physSlots]ir.Reg
+	cands := candBuf[:0]
 	var neededByExit dataflow.RegSet
-	// Regs enumerates by class, then number: cands comes out sorted.
-	for _, r := range firstIsDef.Diff(loopIn).Regs() {
+	// AppendRegs enumerates by class, then number: cands comes out sorted.
+	for _, r := range firstIsDef.Diff(loopIn).AppendRegs(regBuf[:0]) {
 		defs := 0
-		for _, in := range proto {
-			if d, def := in.Def(); def && d == r {
+		for i := range proto {
+			if d, def := proto[i].Def(); def && d == r {
 				defs++
 			}
 		}
 		liveAtExit := false
-		for _, in := range proto {
-			if lv.LiveAtTaken(in).Has(r) {
+		for i := range proto {
+			if lv.LiveAtTaken(&proto[i]).Has(r) {
 				liveAtExit = true
 				break
 			}
@@ -743,9 +809,15 @@ func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used 
 		}
 		cands = append(cands, r)
 	}
-	var recs []renameRec
-	for _, r := range cands {
-		rec := renameRec{arch: r, names: make([]ir.Reg, len(copies)), pos: make([]int, len(copies))}
+	if len(cands) == 0 {
+		return recs
+	}
+	nc := len(copies)
+	names := make([]ir.Reg, len(cands)*nc)
+	posBack := make([]int, len(cands)*nc)
+	for ci, r := range cands {
+		rec := renameRec{arch: r, names: names[ci*nc : (ci+1)*nc : (ci+1)*nc],
+			pos: posBack[ci*nc : (ci+1)*nc : (ci+1)*nc]}
 		ok := true
 		for k := range copies {
 			if rec.names[k], ok = used.AllocFree(r.Class); !ok {
@@ -754,7 +826,8 @@ func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used 
 		}
 		for k := range copies {
 			rec.pos[k] = -1
-			for i, in := range copies[k] {
+			for i := range copies[k] {
+				in := &copies[k][i]
 				if d, def := in.Def(); def && d == r && rec.pos[k] < 0 {
 					rec.pos[k] = i
 				}
@@ -777,23 +850,25 @@ func expandLocals(head int32, copies [][]*ir.Instr, lv *dataflow.Liveness, used 
 }
 
 // buildExitStubs creates one compensation block per side exit that needs
-// architectural values restored: the exit branch is redirected to a stub
-// holding the moves, keeping the hot path free of maintenance code.
-func buildExitStubs(label string, copies [][]*ir.Instr, recs []renameRec, lv *dataflow.Liveness) []*prog.Block {
-	var stubs []*prog.Block
+// architectural values restored, appended to stubs: the exit branch is
+// redirected to a stub holding the moves, keeping the hot path free of
+// maintenance code. Each stub's instructions are one slab of their own.
+func buildExitStubs(stubs []*prog.Block, label string, copies [][]ir.Instr, recs []renameRec, lv *dataflow.Liveness) []*prog.Block {
+	var movBuf [8]ir.Instr
 	n := 0
 	for k := range copies {
-		for i, in := range copies[k] {
+		for i := range copies[k] {
+			in := &copies[k][i]
 			if !ir.IsBranch(in.Op) || in.Target == label {
 				continue
 			}
-			movs := compensationMovs(recs, k, i, lv.LiveAtTaken(in))
+			movs := appendCompensationMovs(movBuf[:0], recs, k, i, lv.LiveAtTaken(in))
 			if len(movs) == 0 {
 				continue
 			}
-			stub := &prog.Block{Label: fmt.Sprintf("%s.x%d", label, n)}
+			stub := &prog.Block{Label: label + ".x" + strconv.Itoa(n)}
 			n++
-			stub.Instrs = append(movs, ir.JMP(in.Target))
+			stub.Instrs = own(movs, []ir.Instr{*ir.JMP(in.Target)})
 			in.Target = stub.Label
 			stubs = append(stubs, stub)
 		}
@@ -801,10 +876,10 @@ func buildExitStubs(label string, copies [][]*ir.Instr, recs []renameRec, lv *da
 	return stubs
 }
 
-// compensationMovs returns the moves restoring every expanded register that
-// is live at an exit target, given the exit's copy index and position.
-func compensationMovs(recs []renameRec, k, i int, live dataflow.RegSet) []*ir.Instr {
-	var movs []*ir.Instr
+// appendCompensationMovs appends to dst the moves restoring every expanded
+// register that is live at an exit target, given the exit's copy index and
+// position.
+func appendCompensationMovs(dst []ir.Instr, recs []renameRec, k, i int, live dataflow.RegSet) []ir.Instr {
 	for ri := range recs {
 		rec := &recs[ri]
 		if !live.Has(rec.arch) {
@@ -815,25 +890,26 @@ func compensationMovs(recs []renameRec, k, i int, live dataflow.RegSet) []*ir.In
 			continue
 		}
 		if rec.arch.Class == ir.IntClass {
-			movs = append(movs, ir.MOV(rec.arch, name))
+			dst = append(dst, *ir.MOV(rec.arch, name))
 		} else {
-			movs = append(movs, ir.FMOV(rec.arch, name))
+			dst = append(dst, *ir.FMOV(rec.arch, name))
 		}
 	}
-	return movs
+	return dst
 }
 
 // insertFallthroughMovs restores expanded locals that the loop's
 // fall-through successor expects (the path past a conditional back edge,
 // which cannot be stubbed): their moves go inline at the end of the last
 // copy, before the back-edge branch. Induction finals are already in place.
-func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitIdx int32, lv *dataflow.Liveness) {
+func insertFallthroughMovs(copies [][]ir.Instr, recs []renameRec, exitIdx int32, lv *dataflow.Liveness) {
 	if exitIdx < 0 || len(copies) == 0 {
 		return
 	}
-	lastCopy := copies[len(copies)-1]
 	k := len(copies) - 1
-	var movs []*ir.Instr
+	lastCopy := copies[k]
+	var movBuf [8]ir.Instr
+	movs := movBuf[:0]
 	for ri := range recs {
 		rec := &recs[ri]
 		if rec.induction {
@@ -842,15 +918,11 @@ func insertFallthroughMovs(copies [][]*ir.Instr, recs []renameRec, exitIdx int32
 		if !lv.In[exitIdx].Has(rec.arch) {
 			continue
 		}
-		movs = append(movs, compensationMovs(recs[ri:ri+1], k, len(lastCopy), lv.In[exitIdx])...)
+		movs = appendCompensationMovs(movs, recs[ri:ri+1], k, len(lastCopy), lv.In[exitIdx])
 	}
 	if len(movs) == 0 {
 		return
 	}
 	// Insert before the terminal back-edge branch.
-	term := lastCopy[len(lastCopy)-1]
-	out := append([]*ir.Instr{}, lastCopy[:len(lastCopy)-1]...)
-	out = append(out, movs...)
-	out = append(out, term)
-	copies[len(copies)-1] = out
+	copies[k] = slices.Insert(lastCopy, len(lastCopy)-1, movs...)
 }

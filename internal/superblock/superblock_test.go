@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"sentinel/internal/asm"
+	"sentinel/internal/core"
 	"sentinel/internal/dataflow"
 	"sentinel/internal/ir"
+	"sentinel/internal/machine"
 	"sentinel/internal/mem"
 	"sentinel/internal/prog"
 )
@@ -312,11 +315,13 @@ func TestFormNestedLoops(t *testing.T) {
 	}
 }
 
-// TestSharedProgramReaders runs the reference interpreter, liveness and
-// formation concurrently on one laid-out program, as the evaluation runner
-// does with its cached builds: every reader must see the same program and
-// produce the result a lone reader does (run under -race, a write to the
-// shared program fails the test).
+// TestSharedProgramReaders runs the reference interpreter, liveness,
+// formation and scheduling concurrently on one laid-out program, as the
+// evaluation runner does with its cached builds and forms: every reader
+// must see the same program and produce the result a lone reader does
+// (run under -race, a write to a shared program fails the test). Form and
+// Schedule are the cloning paths: each copies the shared program into
+// block slabs of its own before rewriting it.
 func TestSharedProgramReaders(t *testing.T) {
 	p, m := biasedDiamond()
 	p.Layout()
@@ -324,12 +329,29 @@ func TestSharedProgramReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Form(p, ref.Profile, Options{}).String()
+	formed := Form(p, ref.Profile, Options{})
+	want := formed.String()
 	wantLive := dataflow.Compute(p).In
-	errs := make(chan error, 8)
+	md := machine.Base(8, machine.SentinelStores)
+	schedule := func(q *prog.Program) (string, error) {
+		sched, _, err := core.Schedule(q, md)
+		if err != nil {
+			return "", err
+		}
+		return asm.FormatScheduled(sched), nil
+	}
+	wantSched, err := schedule(formed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSchedP, err := schedule(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 16)
 	var wg sync.WaitGroup
 	for range 4 {
-		wg.Add(2)
+		wg.Add(4)
 		go func() {
 			defer wg.Done()
 			res, err := prog.Run(p, m.Clone(), prog.Options{Collect: true})
@@ -346,6 +368,22 @@ func TestSharedProgramReaders(t *testing.T) {
 			var err error
 			if got := Form(p, ref.Profile, Options{}).String(); got != want {
 				err = fmt.Errorf("formed program differs from a lone formation:\n%s", got)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := schedule(formed)
+			if err == nil && got != wantSched {
+				err = fmt.Errorf("schedule of the shared formed program differs from a lone one:\n%s", got)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := schedule(p)
+			if err == nil && got != wantSchedP {
+				err = fmt.Errorf("schedule of the shared program differs from a lone one:\n%s", got)
 			}
 			errs <- err
 		}()
