@@ -277,11 +277,17 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 			err = rerr
 			break
 		}
+		// Flush only when this backend has nothing further buffered: the
+		// elements it sent in one run reach the client in one write, and
+		// none waits on bytes that have not arrived yet.
 		hdr = wire.AppendElemHeader(hdr[:0], tag, status, plen)
 		mu.Lock()
 		bw.Write(hdr)     //nolint:errcheck
 		bw.Write(payload) //nolint:errcheck
-		ferr := bw.Flush()
+		var ferr error
+		if remaining == 0 || wc.br.Buffered() == 0 {
+			ferr = bw.Flush()
+		}
 		mu.Unlock()
 		if ferr != nil {
 			// The client went away; nothing left to answer for.

@@ -129,7 +129,7 @@ type Record struct {
 	stack                     [maxDepth]int8
 	nspans, depth             uint8
 	idLen, fpLen              uint8
-	warm                      bool
+	warm, failed              bool
 }
 
 func (r *Record) since() int64 {
@@ -229,6 +229,15 @@ func (r *Record) MarkWarm() {
 	}
 }
 
+// MarkError makes Finish retain the record as an error whatever its
+// status — for a batch answered 200 with a failed element inside. No-op on
+// nil.
+func (r *Record) MarkError() {
+	if r != nil {
+		r.failed = true
+	}
+}
+
 // Finish completes the record: applies the tail-sampling decision, retains
 // the view in the recorder's ring (and sink) when sampled, and returns the
 // arena to the pool. The record must not be used after Finish. No-op on nil.
@@ -240,7 +249,7 @@ func (r *Record) Finish(status int) {
 	dur := r.since()
 	var reason string
 	switch {
-	case status >= 400:
+	case status >= 400 || r.failed:
 		reason = "error"
 	case dur >= rec.slowNs:
 		reason = "slow"
@@ -408,7 +417,7 @@ func (rec *Recorder) Begin(endpoint string) *Record {
 	r.endpoint = endpoint
 	r.predictor, r.tier = "", ""
 	r.nspans, r.depth, r.fpLen = 0, 0, 0
-	r.warm = false
+	r.warm, r.failed = false, false
 	b := append(r.id[:0], rec.idPrefix...)
 	b = append(b, '-')
 	b = strconv.AppendUint(b, r.seq, 10)

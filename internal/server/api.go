@@ -140,6 +140,10 @@ func apiErrorf(status int, kind, format string, args ...any) *APIError {
 	return &APIError{Status: status, Kind: kind, Message: fmt.Sprintf(format, args...)}
 }
 
+// errPanicked answers a request or batch element whose handler panicked.
+var errPanicked = &APIError{Status: http.StatusInternalServerError, Kind: KindInternal,
+	Message: "the request's handler panicked"}
+
 // errorResponse is the JSON envelope of every non-2xx response.
 type errorResponse struct {
 	Error *APIError `json:"error"`

@@ -32,6 +32,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"sentinel/internal/obs"
 	"sentinel/internal/wire"
@@ -162,14 +163,28 @@ func putCapture(c *captureWriter) { capturePool.Put(c) }
 // batch). The element's raw-request key is threaded through the context so
 // the handler's cache fill warms future batched and unbatched repeats of
 // these exact bytes alike.
-func (s *Server) execElement(ctx context.Context, e batchElem) *captureWriter {
+//
+// A panic inside the element is contained here: the element is answered
+// with the 500 internal envelope, counted in server.panics, and reported
+// through panicked, while its siblings run on — in a Runner worker an
+// unrecovered panic would end the process.
+func (s *Server) execElement(ctx context.Context, e batchElem) (cw *captureWriter, panicked bool) {
 	path := e.path()
 	if s.resp != nil {
 		ctx = context.WithValue(ctx, rawKeyCtxKey{}, rawRequestKey(path, "", e.payload))
 	}
-	cw := getCapture()
+	cw = getCapture()
 	body := getBodyScratch()
 	defer putBodyScratch(body)
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			cw.buf.Reset()
+			cw.status = 0
+			writeError(cw, errPanicked)
+			panicked = true
+		}
+	}()
 	body.hold(e.payload)
 	r := (&http.Request{
 		Method:        http.MethodPost,
@@ -186,15 +201,29 @@ func (s *Server) execElement(ctx context.Context, e batchElem) *captureWriter {
 		cw.status = 0
 		writeError(cw, err)
 	}
-	return cw
+	return cw, false
 }
 
-// runBatch is the shared batch engine. emit is called exactly once per
-// element, serialized, in completion order; the body bytes are valid only
-// for the duration of the call (they may alias a cache row or a pooled
-// capture buffer). ctx carries the batch deadline and, optionally, the
-// batch's flight-recorder record.
-func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, status int, body []byte)) {
+// batchSink receives a batch's answers for one entry point. put frames one
+// element into the current run, which may buffer it; flush sends the run
+// to the client. runBatch calls both serialized, put exactly once per
+// element in completion order; the body bytes are valid only for the
+// duration of put (they may alias a cache row or a pooled capture buffer).
+type batchSink interface {
+	put(i, status int, body []byte)
+	flush()
+}
+
+// runBatch is the shared batch engine. It writes each run of ready
+// elements at once and never holds a ready element back for one that is
+// still running: the warm hits go out together after the probe, and a
+// cold element is flushed as soon as no other completed element is
+// waiting to be put behind it. The last element is never flushed here —
+// the caller ends the response right after, and its trailer rides the same
+// write. ctx carries the batch deadline and, optionally, the batch's
+// flight-recorder record, which is marked as an error when an element
+// panicked.
+func (s *Server) runBatch(ctx context.Context, elems []batchElem, out batchSink) {
 	rd := obs.RecordFrom(ctx)
 
 	// Warm probe: an element whose exact request bytes were answered before
@@ -204,7 +233,7 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 	rd.Start(obs.StageRespCache, obs.ArgRaw)
 	for i := range elems {
 		if body, _, ok := s.resp.Get(rawRequestKey(elems[i].path(), "", elems[i].payload)); ok {
-			emit(i, http.StatusOK, body)
+			out.put(i, http.StatusOK, body)
 			continue
 		}
 		cold = append(cold, i)
@@ -213,12 +242,15 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 	if len(cold) == 0 {
 		return
 	}
+	if len(cold) < len(elems) {
+		out.flush()
+	}
 
 	// Coalescing: within one frame, cold elements with byte-identical op and
 	// payload are the same deterministic computation — the determinism the
 	// byte-identity contract already relies on — so only the first of each
 	// group (the leader) runs; its twins get the leader's envelope copied
-	// under the same serialization the leader's emit holds. Requests that
+	// under the same serialization the leader's put holds. Requests that
 	// opt out of caching (a "full" re-simulation, an injected fault) are
 	// sniffed out by raw bytes and always run individually, keeping the
 	// escape hatch past every cache honest; the sniff is conservative, so a
@@ -255,29 +287,46 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 	// returns an error, which would stop dispatch for its siblings. The
 	// captured context must not carry the record (records are
 	// single-goroutine; ParallelCtx strips its own copy but cannot reach the
-	// closure's).
+	// closure's). waiting counts elements that have completed but not yet
+	// been put; the goroutine that puts an element flushes only when it is
+	// zero, so a completed element is always either flushed or behind the
+	// put of a goroutine that will flush.
 	runCtx := ctx
 	if rd != nil {
 		runCtx = obs.ContextWithRecord(runCtx, nil)
 	}
 	var mu sync.Mutex
+	var waiting atomic.Int32
+	left := len(cold) // elements not yet put, under mu
+	panicked := false
 	emitted := make([]bool, len(runs))
 	rd.Start(obs.StageBatch, obs.ArgNone)
 	s.runner.ParallelCtx(ctx, len(runs), func(j int) error { //nolint:errcheck // fn never errs; ctx expiry handled below
-		cw := s.execElement(runCtx, elems[runs[j]])
+		cw, p := s.execElement(runCtx, elems[runs[j]])
+		waiting.Add(1)
 		mu.Lock()
+		waiting.Add(-1)
 		emitted[j] = true
-		emit(runs[j], cw.statusCode(), cw.buf.Bytes())
+		panicked = panicked || p
+		out.put(runs[j], cw.statusCode(), cw.buf.Bytes())
+		left--
 		if twins != nil {
 			for _, i := range twins[j] {
-				emit(i, cw.statusCode(), cw.buf.Bytes())
+				out.put(i, cw.statusCode(), cw.buf.Bytes())
+				left--
 			}
+		}
+		if left > 0 && waiting.Load() == 0 {
+			out.flush()
 		}
 		mu.Unlock()
 		putCapture(cw)
 		return nil
 	})
 	rd.End()
+	if panicked {
+		rd.MarkError()
+	}
 
 	// The frame promised every element up front; a deadline that stopped
 	// dispatch mid-batch leaves the unrun tail to be filled in with the
@@ -295,12 +344,70 @@ func (s *Server) runBatch(ctx context.Context, elems []batchElem, emit func(i, s
 			lateBody = append([]byte(nil), cw.buf.Bytes()...)
 			putCapture(cw)
 		}
-		emit(i, lateStatus, lateBody)
+		out.put(i, lateStatus, lateBody)
 		if twins != nil {
 			for _, t := range twins[j] {
-				emit(t, lateStatus, lateBody)
+				out.put(t, lateStatus, lateBody)
 			}
 		}
+	}
+}
+
+// batchHeaderMax bounds one /v1/batch element header line: three decimal
+// ints and the fixed JSON around them.
+const batchHeaderMax = 64
+
+// httpBatchSink frames /v1/batch elements into a run buffer and sends each
+// run with one ResponseWriter.Write — which net/http passes to the socket
+// in about two syscalls however long the run, where element-by-element
+// Writes go through its 4 KiB buffer one slice at a time. A run that would
+// outgrow frameBufCap is written out early, so the pooled buffer never
+// grows past what the pool keeps.
+type httpBatchSink struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	fb      *frameBuf
+	n       int // elements put
+}
+
+func (h *httpBatchSink) put(i, status int, body []byte) {
+	h.n++
+	if !h.fb.room(batchHeaderMax + len(body)) {
+		h.write()
+		if !h.fb.room(batchHeaderMax + len(body)) {
+			// Larger than any run: header and body go out as they are.
+			h.appendHeader(i, status, len(body))
+			h.write()
+			h.w.Write(body) //nolint:errcheck // client gone; remaining writes are no-ops
+			return
+		}
+	}
+	h.appendHeader(i, status, len(body))
+	h.fb.b = append(h.fb.b, body...)
+}
+
+func (h *httpBatchSink) appendHeader(i, status, n int) {
+	b := append(h.fb.b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, `,"status":`...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, `,"bytes":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	h.fb.b = append(b, '}', '\n')
+}
+
+// write hands the buffered run to the ResponseWriter.
+func (h *httpBatchSink) write() {
+	if len(h.fb.b) > 0 {
+		h.w.Write(h.fb.b) //nolint:errcheck // client gone; remaining writes are no-ops
+		h.fb.b = h.fb.b[:0]
+	}
+}
+
+func (h *httpBatchSink) flush() {
+	h.write()
+	if h.flusher != nil {
+		h.flusher.Flush()
 	}
 }
 
@@ -340,28 +447,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	defer s.batchesInFlight.Add(-1)
 
 	w.Header().Set("Content-Type", batchContentType)
-	flusher, _ := w.(http.Flusher)
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
-	n := 0
-	s.runBatch(r.Context(), elems, func(i, status int, body []byte) {
-		fb.b = append(fb.b[:0], `{"index":`...)
-		fb.b = strconv.AppendInt(fb.b, int64(i), 10)
-		fb.b = append(fb.b, `,"status":`...)
-		fb.b = strconv.AppendInt(fb.b, int64(status), 10)
-		fb.b = append(fb.b, `,"bytes":`...)
-		fb.b = strconv.AppendInt(fb.b, int64(len(body)), 10)
-		fb.b = append(fb.b, '}', '\n')
-		w.Write(fb.b) //nolint:errcheck // client gone; remaining writes are no-ops
-		w.Write(body) //nolint:errcheck
-		n++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	fb.b = append(fb.b[:0], `{"done":true,"elements":`...)
-	fb.b = strconv.AppendInt(fb.b, int64(n), 10)
-	fb.b = append(fb.b, '}', '\n')
-	w.Write(fb.b) //nolint:errcheck
+	out := &httpBatchSink{w: w, fb: getFrameBuf()}
+	defer putFrameBuf(out.fb)
+	out.fb.b = out.fb.b[:0]
+	out.flusher, _ = w.(http.Flusher)
+	s.runBatch(r.Context(), elems, out)
+	if !out.fb.room(batchHeaderMax) {
+		out.write()
+	}
+	out.fb.b = append(out.fb.b, `{"done":true,"elements":`...)
+	out.fb.b = strconv.AppendInt(out.fb.b, int64(out.n), 10)
+	out.fb.b = append(out.fb.b, '}', '\n')
+	out.write()
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"sentinel/internal/asm"
@@ -163,6 +164,12 @@ func (s *Server) prepared(r *http.Request, spec ProgramSpec, sum *respKey, md ma
 func compileSource(ctx context.Context, src string, md machine.Desc, form bool) (*compiled, error) {
 	rd := obs.RecordFrom(ctx)
 	rd.Start(obs.StageCompile, obs.ArgSources)
+	if h := compileHook.Load(); h != nil {
+		if err := (*h)(ctx, src); err != nil {
+			rd.End()
+			return nil, err
+		}
+	}
 	p, m, err := asm.Parse(src)
 	if err != nil {
 		rd.End()
@@ -184,6 +191,20 @@ func compileSource(ctx context.Context, src string, md machine.Desc, form bool) 
 	// not its memory image or profile.
 	return &compiled{prog: sched, stats: stats, mem: m,
 		ref: &prog.Result{Out: ref.Out, MemSum: ref.MemSum, Instrs: ref.Instrs}}, nil
+}
+
+// compileHook, when set, runs first in every inline-source compile, inside
+// the source cache's singleflight. Tests hold an element there (to order a
+// stream or outlast a deadline), fail it, or panic in it (to reach panic
+// containment and the singleflight's release). Nothing else sets it.
+var compileHook atomic.Pointer[func(ctx context.Context, src string) error]
+
+// SetCompileHook makes fn the compile hook until the returned function
+// restores the previous one. For tests, including other packages' tests
+// that drive a real backend.
+func SetCompileHook(fn func(ctx context.Context, src string) error) (restore func()) {
+	prev := compileHook.Swap(&fn)
+	return func() { compileHook.Store(prev) }
 }
 
 // frontAPIError maps a failed eval.Front stage onto its 422 envelope. A

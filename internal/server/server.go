@@ -105,6 +105,7 @@ type Server struct {
 	batches    *obs.Counter // batch frames admitted (HTTP + wire)
 	batchElems *obs.Counter // batch elements across admitted frames
 	coalesced  *obs.Counter // batch elements answered by an in-frame twin
+	panics     *obs.Counter // handler and batch-element panics recovered
 }
 
 // New builds a Server around a fresh eval.Runner. The server starts ready;
@@ -135,6 +136,7 @@ func New(cfg Config) *Server {
 		s.batches = reg.Counter("server.batches")
 		s.batchElems = reg.Counter("server.batch_elements")
 		s.coalesced = reg.Counter("server.batch_coalesced")
+		s.panics = reg.Counter("server.panics")
 		reg.Gauge("server.batches_inflight", s.BatchesInFlight)
 		reg.Gauge("server.inflight", s.adm.InFlight)
 		reg.Gauge("server.queued", s.adm.Queued)
@@ -272,7 +274,9 @@ const (
 
 // v1 wraps an API handler with the serving concerns every /v1 endpoint
 // shares: per-request deadline, admission, error envelope, request-ID echo,
-// the flight-recorder record, and metrics.
+// the flight-recorder record, and metrics. A handler panic is answered
+// with the 500 internal envelope and counted in server.panics; the
+// admission slot is released on the way out as on any return.
 func (s *Server) v1(endpoint string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var t0 time.Time
@@ -345,7 +349,18 @@ func (s *Server) v1(endpoint string, h func(w http.ResponseWriter, r *http.Reque
 			}
 		}
 		status := http.StatusOK
-		defer func() { rd.Finish(status) }()
+		defer func() {
+			if p := recover(); p != nil {
+				if p == http.ErrAbortHandler {
+					rd.Finish(http.StatusInternalServerError)
+					panic(p)
+				}
+				s.panics.Inc()
+				status = writeError(w, errPanicked).Status
+				s.countStatus(status)
+			}
+			rd.Finish(status)
+		}()
 
 		ctx := r.Context()
 		timeout := s.cfg.RequestTimeout

@@ -138,17 +138,29 @@ func (s *Server) serveWireFrame(bw *bufio.Writer, fb *frameBuf, fr *wire.ReqFram
 	}
 	fb.b = wire.AppendResponseHeader(fb.b[:0], len(elems))
 	bw.Write(fb.b) //nolint:errcheck // a latched write error surfaces at Flush
-	s.runBatch(ctx, elems, func(i, st int, body []byte) {
-		fb.b = wire.AppendElemHeader(fb.b[:0], elems[i].tag, st, len(body))
-		bw.Write(fb.b) //nolint:errcheck
-		bw.Write(body) //nolint:errcheck
-		bw.Flush()     //nolint:errcheck // stream each element as it completes
-	})
+	s.runBatch(ctx, elems, &wireBatchSink{bw: bw, fb: fb, elems: elems})
 	if s.reqTime != nil {
 		s.reqTime.Observe(time.Since(t0).Nanoseconds())
 	}
 	return true
 }
+
+// wireBatchSink frames wire response elements into the connection's
+// buffered writer, which is the run buffer: a run goes out with one Flush,
+// or in wireBufSize pieces when it is longer.
+type wireBatchSink struct {
+	bw    *bufio.Writer
+	fb    *frameBuf
+	elems []batchElem
+}
+
+func (w *wireBatchSink) put(i, status int, body []byte) {
+	w.fb.b = wire.AppendElemHeader(w.fb.b[:0], w.elems[i].tag, status, len(body))
+	w.bw.Write(w.fb.b) //nolint:errcheck // a latched write error surfaces at Flush
+	w.bw.Write(body)   //nolint:errcheck
+}
+
+func (w *wireBatchSink) flush() { w.bw.Flush() } //nolint:errcheck // the caller's Flush reports it
 
 // wireRefusal maps an admission error onto its error-frame code and whether
 // the connection survives (overload and timeout are retryable on the same
